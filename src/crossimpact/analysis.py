@@ -10,8 +10,9 @@ Subsystem influence is ranked by principal component analysis over the
 time series of strength matrices.  The default observation design uses
 column sums (total influence exerted by each subsystem); a flattened
 design over all matrix entries is available for completeness.  The
-symmetric eigendecomposition is a cyclic Jacobi sweep, which is simple
-and robust at this scale (covariances of at most 25x25).
+symmetric eigendecomposition is LAPACK's, through ``np.linalg.eigh``, so
+the n^2 x n^2 covariance of the flattened design is solved at any size
+the engine simulates.
 """
 
 from __future__ import annotations
@@ -108,64 +109,29 @@ def trend(series: list[QualityPoint], slope_eps: float = 1e-3) -> TrendReport:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric eigendecomposition (cyclic Jacobi)
+# Symmetric eigendecomposition
 # ---------------------------------------------------------------------------
 
-def jacobi_eigendecomposition(
-    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors (columns) of
-    a symmetric matrix by cyclic Jacobi rotations.
+    a symmetric matrix, computed by LAPACK through ``np.linalg.eigh``.
 
-    Convergence is declared when the off-diagonal Frobenius norm falls
-    below ``tol`` scaled by the input's Frobenius norm (so the criterion
-    is meaningful at any data scale).  Eigenvector signs are fixed by
-    making each column's largest-magnitude component positive.
+    The name is historical: an earlier version used cyclic Jacobi
+    rotations.  Eigenvector signs are fixed by making each column's
+    largest-magnitude component positive.
     """
     a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DomainError(f"eigendecomposition needs a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("eigendecomposition needs finite entries")
-    a = 0.5 * (a + a.T)  # guard against asymmetry at rounding level
-    n = a.shape[0]
-    v = np.eye(n)
-    threshold = tol * max(1.0, float(np.linalg.norm(a)))
-
-    def off_norm() -> float:
-        off = a - np.diag(np.diagonal(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e10:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    else:
-        raise CrossImpactError("Jacobi eigendecomposition did not converge")
-
-    values = np.diagonal(a).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for k in range(n):
-        pivot = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[pivot, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (a + a.T))  # symmetrise at rounding level
+    except np.linalg.LinAlgError as exc:
+        raise CrossImpactError(f"eigendecomposition did not converge: {exc}") from exc
+    values, vectors = values[::-1], vectors[:, ::-1]
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    vectors = vectors * np.where(vectors[pivots, np.arange(a.shape[0])] < 0.0, -1.0, 1.0)
     return values, vectors
 
 
@@ -189,6 +155,8 @@ class InfluenceRanking:
         object.__setattr__(self, "order", tuple(int(k) for k in self.order))
         object.__setattr__(self, "loadings", tuple(float(v) for v in self.loadings))
         object.__setattr__(self, "explained_variance", tuple(float(v) for v in self.explained_variance))
+        if sorted(self.order) != list(range(len(self.order))):
+            raise DomainError(f"ranking order must be a permutation of 0..n-1, got {self.order}")
         if len(self.order) != len(self.loadings):
             raise DomainError("ranking needs one loading per ordered subsystem")
         if any(b > a for a, b in zip(self.loadings, self.loadings[1:])):

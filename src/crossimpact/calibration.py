@@ -171,42 +171,25 @@ def verify_min_norm(
     trials: int = 100,
     seed: int = 0,
 ) -> bool:
-    """Certify minimality of a utility solution by random probing.
+    """Certify that each utility row is the shortest one keeping its
+    constraint.
 
-    For each row, ``trials`` random directions are projected onto the
-    row's constraint null space (directions d with sum_j R[i,j]*d[j] = 0,
-    which leave the reproduced performance unchanged) and rescaled over
-    several magnitude decades.  A genuine minimum-norm row is orthogonal
-    to that null space, so every perturbed row must be at least as long;
-    the check allows 1e-9 of rounding slack.  A trivial null space (only
-    possible for a one-subsystem grid) passes vacuously.
-
-    Both matrix arguments may be typed matrices or raw square grids;
-    ``performance`` is the constraint target the rows already reproduce,
-    while the probe itself only needs the strength rows.
+    Adding a direction orthogonal to the strength row r_i keeps the
+    reproduced performance, so the shortest such row is the projection
+    p_i of u_i onto r_i (zero for an all-zero strength row), and u_i is
+    minimal iff ||u_i|| <= ||p_i||, with 1e-9 of slack (relative above
+    ||u_i|| = 1).  The check is exact: ``trials`` and ``seed`` remain
+    for callers of the former random probe and have no effect.  Both
+    matrix arguments may be typed matrices or raw square grids.
     """
     grid = _strength_grid(influence)
     u_grid = _strength_grid(utility)
     if not (u_grid.shape[0] == grid.shape[0] == performance.size):
         raise ShapeError("utility, influence and performance sizes must agree")
-    rng = np.random.default_rng(seed)
-    n = grid.shape[0]
-    for i in range(n):
-        u_row = u_grid[i]
-        r_row = grid[i]
-        base = float(np.linalg.norm(u_row))
-        rr = float(np.dot(r_row, r_row))
-        for _ in range(trials):
-            v = rng.standard_normal(n)
-            d = v - r_row * (float(np.dot(v, r_row)) / rr) if rr > 0.0 else v
-            norm_d = float(np.linalg.norm(d))
-            if norm_d == 0.0:
-                continue  # null space is trivial in this direction
-            magnitude = 10.0 ** rng.uniform(-3.0, 0.3) * max(base, 1.0)
-            d *= magnitude / norm_d
-            if float(np.linalg.norm(u_row + d)) < base - 1e-9:
-                return False
-    return True
+    rr = np.einsum("ij,ij->i", grid, grid)
+    projected = np.abs(np.einsum("ij,ij->i", u_grid, grid)) / np.sqrt(np.where(rr > 0.0, rr, 1.0))
+    lengths = np.linalg.norm(u_grid, axis=1)
+    return bool(np.all(lengths <= projected + 1e-9 * np.maximum(lengths, 1.0)))
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> tuple[float, float]:

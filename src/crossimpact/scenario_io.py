@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .analysis import InfluenceRanking, QualityPoint
 from .calibration import CalibrationReport, solve_utility_min_norm
-from .errors import InputError, ParseError, ShapeError, ValidationError
+from .errors import DomainError, InputError, ParseError, ShapeError, ValidationError
 from .model import (
     BranchCounts,
     DEFAULT_SUBSYSTEM_NAMES,
@@ -554,12 +555,7 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
                     "t": s.timestamp,
                     "w": list(s.performance.values),
                     "r": [list(row) for row in s.influence.entries],
-                    "branches": {
-                        "one_zero": s.branches.one_zero,
-                        "equal": s.branches.equal,
-                        "ratio": s.branches.ratio,
-                        "degenerate": s.branches.degenerate,
-                    },
+                    "branches": asdict(s.branches),
                 }
                 for s in trace.steps
             ],
@@ -585,22 +581,22 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
         raise ParseError(f"trace syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict) or doc.get("kind") != "trace":
         raise ParseError("structured trace must be an object with kind == 'trace'")
+    step_docs = doc.get("steps", [])
+    if not isinstance(step_docs, list):
+        raise ParseError("trace 'steps' must be a list")
     steps = []
-    for s in doc.get("steps", []):
+    for k, s in enumerate(step_docs):
+        if not isinstance(s, dict):
+            raise ParseError(f"trace steps[{k}] must be an object")
         branches = s.get("branches", {})
-        steps.append(
-            TraceStep(
-                int(s["t"]),
-                PerformanceVector(s["w"], int(s["t"])),
-                InfluenceMatrix(s["r"], int(s["t"])),
-                BranchCounts(
-                    int(branches.get("one_zero", 0)),
-                    int(branches.get("equal", 0)),
-                    int(branches.get("ratio", 0)),
-                    int(branches.get("degenerate", 0)),
-                ),
-            )
-        )
+        if not isinstance(branches, dict):
+            raise ParseError(f"trace steps[{k}]: 'branches' must be an object")
+        try:
+            t = int(s["t"])
+            counts = BranchCounts(*(int(branches.get(f.name, 0)) for f in fields(BranchCounts)))
+            steps.append(TraceStep(t, PerformanceVector(s["w"], t), InfluenceMatrix(s["r"], t), counts))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"trace steps[{k}]: missing or malformed field {e!r}") from e
     if not steps:
         raise ParseError("trace document has no steps")
     return SimulationTrace(tuple(steps))
@@ -684,14 +680,16 @@ def parse_ranking(text: str) -> InfluenceRanking:
     if not isinstance(doc, dict) or doc.get("kind") != "ranking":
         raise ParseError("ranking document must be an object with kind == 'ranking'")
     try:
-        order = tuple(int(label[1:]) - 1 for label in doc["order"])
+        labels = [re.fullmatch(r"S([1-9][0-9]*)", label) for label in doc["order"]]
+        if not all(labels):
+            raise ValueError(f"order labels must be S<k> with k >= 1, got {doc['order']}")
         return InfluenceRanking(
             design=doc["design"],
-            order=order,
+            order=tuple(int(m.group(1)) - 1 for m in labels),
             loadings=tuple(float(v) for v in doc["loadings"]),
             explained_variance=tuple(float(v) for v in doc["explained_variance_ratios"]),
         )
-    except (KeyError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, DomainError) as e:
         raise ParseError(f"malformed ranking document: {e}") from e
 
 
@@ -741,5 +739,5 @@ def parse_tune_result(text: str) -> TuneResult:
             InfluenceMatrix(doc["r_curr"], int(doc["t_curr"])),
             report,
         )
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed tune document: {e}") from e

@@ -1,4 +1,4 @@
-"""Quality coefficient, trend classification, Jacobi PCA and ranking."""
+"""Quality coefficient, trend classification, eigendecomposition and ranking."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crossimpact import (
     BranchCounts,
+    CrossImpactError,
     DegenerateRankingError,
     DomainError,
     InfluenceMatrix,
@@ -150,6 +151,29 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi_eigendecomposition(np.ones((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DomainError):
+            jacobi_eigendecomposition(np.ones((0, 0)))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            jacobi_eigendecomposition(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_largest_component_of_each_vector_positive(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((12, 12))
+        _, vectors = jacobi_eigendecomposition(m + m.T)
+        pivots = np.argmax(np.abs(vectors), axis=0)
+        assert np.all(vectors[pivots, np.arange(12)] > 0.0)
+
+    def test_lapack_failure_is_engine_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(CrossImpactError):
+            jacobi_eigendecomposition(np.eye(3))
+
 
 def varying_column_trace(rng: np.random.Generator, column: int, steps: int = 12) -> SimulationTrace:
     """Only ``column``'s strengths move over time; everything else is flat."""
@@ -230,6 +254,17 @@ class TestInfluenceRanking:
         base = ranking_from_observations(observations, 5, "column-sums")
         scaled = ranking_from_observations(scale * observations, 5, "column-sums")
         assert base.order == scaled.order
+
+    def test_flattened_design_at_n25(self):
+        # a 625x625 covariance: the ratios are the normalised squared
+        # singular values of the centred observations
+        observations = np.random.default_rng(25).uniform(0.0, 1.0, size=(50, 625))
+        ranking = ranking_from_observations(observations, 25, "flattened")
+        singular = np.linalg.svd(observations - observations.mean(axis=0), compute_uv=False)
+        expected = np.zeros(625)
+        expected[: singular.size] = singular**2 / np.sum(singular**2)
+        assert sorted(ranking.order) == list(range(25))
+        assert np.max(np.abs(np.array(ranking.explained_variance) - expected)) <= 1e-12
 
     def test_explained_variance_sums_to_one(self):
         trace = random_trace(np.random.default_rng(8), steps=10)

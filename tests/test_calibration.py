@@ -122,6 +122,29 @@ class TestVerifyMinNorm:
         # a single-subsystem grid has a trivial null space; nothing to probe
         assert verify_min_norm([[0.5]], [[2.0]], PerformanceVector([1.0], 0), trials=10)
 
+    def test_zero_strength_row_needs_zero_utility(self):
+        grid = [[1.0, 0.5], [0.0, 0.0]]
+        w = PerformanceVector([0.5, 0.0], 0)
+        assert not verify_min_norm([[0.4, 0.2], [0.3, 0.0]], grid, w)
+
+    def test_degenerate_zero_row_of_solver_passes(self):
+        grid = [[1.0, 0.5, 0.2], [0.0, 0.0, 0.0], [0.3, 1.0, 0.4]]
+        w = PerformanceVector([0.5, 0.0, 0.4], 0)
+        utility, report = solve_utility_min_norm(grid, w)
+        assert report.notes  # row 2 is the degenerate zero row
+        assert verify_min_norm(utility, grid, w)
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_seed_has_no_effect(self, example_matrix, valid):
+        w = PerformanceVector([0.5, 0.38, 0.42, 0.34, 0.5], 1)
+        utility, _ = solve_utility_min_norm(example_matrix, w)
+        entries = np.array(utility.entries)
+        if not valid:  # add a constraint-preserving direction to row 2
+            r_row = example_matrix.entries[2]
+            entries[2] += 0.3 * (np.eye(5)[0] - r_row * r_row[0] / np.dot(r_row, r_row))
+        answers = {verify_min_norm(entries, example_matrix, w, seed=seed) for seed in (0, 12345)}
+        assert answers == {valid}
+
 
 class TestTuneInitialR:
     def test_already_converged_guess_untouched(self, example_matrix, uniform_utility):

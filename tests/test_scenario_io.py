@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from crossimpact import (
     CalibrationReport,
+    DomainError,
+    InfluenceRanking,
     ModelOptions,
     ParseError,
     PerformanceVector,
@@ -36,6 +38,7 @@ from crossimpact import (
     write_tune_result,
 )
 from crossimpact import SeriesTable, influence_ranking
+from crossimpact.cli import main
 from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario
 
 
@@ -269,6 +272,29 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError):
             parse_trace("t,W1,W2,R11\n2,0.5,0.4,1\n")
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["steps"][0].pop("w"),
+            lambda doc: doc.update(steps="oops"),
+            lambda doc: doc.update(steps=[1, 2]),
+            lambda doc: doc["steps"][0].update(branches=[]),
+            lambda doc: doc["steps"][0].update(t="a"),
+            lambda doc: doc["steps"][0].update(w=["x", 0.2]),
+        ],
+        ids=["no-w", "steps-str", "steps-ints", "branches-list", "t-str", "w-str"],
+    )
+    def test_malformed_structured_trace(self, mutate, tmp_path, capsys):
+        doc = json.loads(write_trace(random_trace(np.random.default_rng(8), steps=3), "structured"))
+        mutate(doc)
+        text = json.dumps(doc)
+        with pytest.raises(ParseError):
+            parse_trace(text)
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        assert main(["rank", "--trace", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestAuxiliaryDocuments:
     def test_matrix_round_trip(self):
@@ -291,6 +317,38 @@ class TestAuxiliaryDocuments:
     def test_ranking_round_trip(self):
         ranking = influence_ranking(random_trace(np.random.default_rng(6), steps=9))
         assert parse_ranking(write_ranking(ranking)) == ranking
+
+    @pytest.mark.parametrize(
+        "order",
+        [["S0", "S1", "S2"], ["X3", "S1", "S2"], ["S1", "S1", "S2"], ["S1", "S2", "S4"], 5, [1, 2, 3]],
+        ids=["S0", "bad-prefix", "duplicate", "gap", "int", "int-labels"],
+    )
+    def test_ranking_labels_and_order_validated(self, order):
+        doc = {
+            "kind": "ranking",
+            "design": "column-sums",
+            "order": order,
+            "loadings": [0.6, 0.5, 0.4],
+            "explained_variance_ratios": [0.7, 0.2, 0.1],
+        }
+        with pytest.raises(ParseError):
+            parse_ranking(json.dumps(doc))
+
+    def test_ranking_order_must_be_permutation(self):
+        with pytest.raises(DomainError):
+            InfluenceRanking("column-sums", (0, 0), (0.5, 0.4), (0.6, 0.4))
+
+    def test_tune_report_must_be_object(self):
+        rng = np.random.default_rng(7)
+        result = TuneResult(
+            random_influence(rng, timestamp=0),
+            random_influence(rng, timestamp=1),
+            CalibrationReport(1e-6, (0.0,) * 5, (1,) * 5),
+        )
+        doc = json.loads(write_tune_result(result))
+        doc["report"] = []
+        with pytest.raises(ParseError):
+            parse_tune_result(json.dumps(doc))
 
     def test_tune_result_round_trip(self):
         rng = np.random.default_rng(7)
