@@ -338,25 +338,46 @@ def update_relationship(
 def _updated_entries(
     deltas: np.ndarray, prior: np.ndarray, opts: ModelOptions
 ) -> tuple[np.ndarray, BranchCounts]:
-    """Apply the update rule to every off-diagonal cell; diagonal stays 1."""
-    n = prior.shape[0]
-    out = np.ones((n, n))
-    one_zero = equal = ratio = degenerate = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            upd = update_relationship(deltas[i], deltas[j], prior[i, j], opts)
-            out[i, j] = upd.value
-            if upd.branch is Branch.ONE_ZERO:
-                one_zero += 1
-            elif upd.branch is Branch.EQUAL:
-                equal += 1
-            else:
-                ratio += 1
-                if upd.degenerate:
-                    degenerate += 1
-    return out, BranchCounts(one_zero, equal, ratio, degenerate)
+    """Apply ``update_relationship`` to every off-diagonal cell at once;
+    the diagonal stays 1.
+
+    Cell (i, j) pairs ``deltas[i]`` with ``deltas[j]`` and ``prior[i, j]``.
+    Each branch is a boolean mask over the whole matrix, evaluated with the
+    scalar rule's operations in its order, so every value and branch count
+    is bit-for-bit the scalar rule's.
+    """
+    if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(prior))):
+        raise DomainError("relationship update requires finite deltas and strength")
+    if np.any(prior < 0.0):
+        raise DomainError(f"prior strength must be non-negative, got {prior[prior < 0.0][0]}")
+    eps = opts.eps_delta
+    d_i, d_j = deltas[:, None], deltas[None, :]
+    zero = np.abs(deltas) <= eps
+    zero_i, zero_j = zero[:, None], zero[None, :]
+    # Division by zero, overflow and underflow are expected: the masks
+    # discard the cells outside the ratio branch, and ratio cells take the
+    # IEEE result, as the scalar rule does with Python floats.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        one_zero = zero_i != zero_j
+        equal = ~one_zero & ((zero_i & zero_j) | (np.abs(d_i - d_j) <= eps))
+        ratio = ~(one_zero | equal)
+        denom = d_j * prior
+        x = d_i / denom
+        degenerate = ratio & ((denom == 0.0) | (x == 0.0))
+        value = np.where(x > 0.0, np.abs(x), 1.0 / np.abs(x))
+        if opts.clamp:
+            value = np.minimum(np.maximum(value, 0.0), 1.0)
+    out = np.where(equal, prior, np.where(one_zero | degenerate, 0.0, value))
+    np.fill_diagonal(out, 1.0)
+    # A finite delta always equals itself, so every diagonal cell is in
+    # ``equal`` and in no other mask.
+    counts = BranchCounts(
+        int(np.count_nonzero(one_zero)),
+        int(np.count_nonzero(equal)) - prior.shape[0],
+        int(np.count_nonzero(ratio)),
+        int(np.count_nonzero(degenerate)),
+    )
+    return out, counts
 
 
 def update_matrix(
@@ -378,7 +399,8 @@ def update_matrix(
             f"t(w_prev)={w_prev.timestamp}, t(w_curr)={w_curr.timestamp}, "
             f"t(r)={r_curr.timestamp}"
         )
-    deltas = w_curr.values - w_prev.values
+    with np.errstate(over="ignore"):  # an infinite delta is rejected as DomainError
+        deltas = w_curr.values - w_prev.values
     entries, counts = _updated_entries(deltas, r_curr.entries, opts)
     return InfluenceMatrix(entries, r_curr.timestamp + 1), counts
 

@@ -553,8 +553,8 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
             "steps": [
                 {
                     "t": s.timestamp,
-                    "w": list(s.performance.values),
-                    "r": [list(row) for row in s.influence.entries],
+                    "w": s.performance.values.tolist(),
+                    "r": s.influence.entries.tolist(),
                     "branches": asdict(s.branches),
                 }
                 for s in trace.steps
@@ -572,6 +572,15 @@ def parse_trace(text: str) -> SimulationTrace:
     if stripped.startswith("{"):
         return _parse_trace_structured(stripped)
     return _parse_trace_table(text)
+
+
+def _integral(value, what: str) -> int:
+    """A JSON integer, or a float with an integral value such as 2.0."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
 def _parse_trace_structured(text: str) -> SimulationTrace:
@@ -592,8 +601,11 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
         if not isinstance(branches, dict):
             raise ParseError(f"trace steps[{k}]: 'branches' must be an object")
         try:
-            t = int(s["t"])
-            counts = BranchCounts(*(int(branches.get(f.name, 0)) for f in fields(BranchCounts)))
+            t = _integral(s["t"], f"trace steps[{k}]: 't'")
+            counts = BranchCounts(*(
+                _integral(branches.get(f.name, 0), f"trace steps[{k}]: branch count {f.name!r}")
+                for f in fields(BranchCounts)
+            ))
             steps.append(TraceStep(t, PerformanceVector(s["w"], t), InfluenceMatrix(s["r"], t), counts))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"trace steps[{k}]: missing or malformed field {e!r}") from e

@@ -1,5 +1,7 @@
 """Core dynamics: aggregation, the strength-update branches, stepping."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from crossimpact import (
     Branch,
+    BranchCounts,
     DomainError,
     InfluenceMatrix,
     InputError,
@@ -26,6 +29,8 @@ from crossimpact import (
     update_relationship,
     write_trace,
 )
+from crossimpact.cli import main
+from crossimpact.model import _updated_entries
 from conftest import random_influence, self_consistent_scenario
 
 UNCLAMPED = ModelOptions(clamp=False)
@@ -251,6 +256,138 @@ class TestUpdateMatrix:
         w_curr = _vec(rng.uniform(0, 1, 5), 1)
         out, _ = update_matrix(w_prev, w_curr, example_matrix)
         assert np.all(np.diagonal(out.entries) == 1.0)
+
+
+def _scalar_entries(deltas, prior, opts):
+    """The per-cell reference: ``update_relationship`` on every
+    off-diagonal cell, in row-major order, with the diagonal left at 1."""
+    n = prior.shape[0]
+    out = np.ones((n, n))
+    counts = {Branch.ONE_ZERO: 0, Branch.EQUAL: 0, Branch.RATIO: 0}
+    degenerate = 0
+    with np.errstate(all="ignore"):  # numpy scalars warn where Python floats do not
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    upd = update_relationship(deltas[i], deltas[j], prior[i, j], opts)
+                    out[i, j] = upd.value
+                    counts[upd.branch] += 1
+                    degenerate += upd.degenerate
+    return out, BranchCounts(
+        counts[Branch.ONE_ZERO], counts[Branch.EQUAL], counts[Branch.RATIO], degenerate
+    )
+
+
+def _assert_kernel_matches_scalar_rule(deltas, prior, opts):
+    deltas = np.asarray(deltas, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    got, got_counts = _updated_entries(deltas, prior, opts)
+    want, want_counts = _scalar_entries(deltas, prior, opts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_counts == want_counts
+
+
+# priors at and next to the edges: zeros of both signs, subnormals, tiny
+# normals whose products with a delta underflow, and strengths above 1
+_EDGE_PRIORS = [0.0, -0.0, 5e-324, 1e-308, 2.2250738585072014e-308, 1e-300, 1.0, 1e3]
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(2, 8))
+    eps = draw(st.floats(1e-12, 1e-2))
+    opts = ModelOptions(clamp=draw(st.booleans()), eps_delta=eps)
+    value = st.one_of(
+        st.just(0.0),
+        st.floats(-eps, eps),  # counts as zero
+        st.floats(-1e3, 1e3),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    # repeat values, then nudge some within +-eps: exact and near ties
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    nudges = draw(st.lists(st.one_of(st.just(0.0), st.floats(-eps, eps)), min_size=n, max_size=n))
+    deltas = np.array([values[p] + nudge for p, nudge in zip(picks, nudges)])
+    assume(np.all(np.isfinite(deltas)))
+    prior_cell = st.one_of(st.sampled_from(_EDGE_PRIORS), st.floats(0.0, 1.0))
+    prior = np.array(draw(st.lists(prior_cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(prior, 1.0)
+    return deltas, prior, opts
+
+
+class TestUpdateKernel:
+    """``_updated_entries`` applies the scalar rule to a whole matrix; the
+    per-cell ``update_relationship`` is its reference, bit for bit."""
+
+    @given(case=_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    @example(case=([0.0, 0.0], [[1.0, 0.3], [0.7, 1.0]], ModelOptions()))  # both zero
+    @example(case=([0.0, 0.2], [[1.0, 0.3], [0.7, 1.0]], ModelOptions()))  # one zero
+    @example(case=([5e-10, -5e-10], [[1.0, 0.3], [0.7, 1.0]], ModelOptions()))  # sub-eps
+    @example(case=([0.2, 0.2 + 5e-10, -0.3], [[1.0, 0.4, 0.5]] * 3, ModelOptions()))  # near tie
+    @example(case=([0.2, -0.1], [[1.0, 0.0], [-0.0, 1.0]], ModelOptions()))  # zero priors
+    @example(case=([0.2, 0.1], [[1.0, 1e-308], [5e-324, 1.0]], ModelOptions()))  # x overflows
+    @example(case=([0.2, -0.1], [[1.0, 1e-308], [5e-324, 1.0]], ModelOptions(clamp=False)))
+    @example(case=([1e-8, 1e300], [[1.0, 1e9], [0.5, 1.0]], ModelOptions()))  # denom overflows
+    @example(case=([0.5, 0.5 + 2**-20, 2**-20], [[1.0, 0.4, 0.5]] * 3, ModelOptions(True, 2**-20)))
+    @example(case=([1.7e308, -1.7e308], [[1.0, 0.5], [0.5, 1.0]], ModelOptions()))  # gap overflows
+    @example(case=([0.3, -0.3, 1e-2], [[1.0, 2.0, 0.5]] * 3, ModelOptions(False, 1e-2)))
+    def test_matches_scalar_rule(self, case):
+        _assert_kernel_matches_scalar_rule(*case)
+
+    def test_matches_scalar_rule_at_n_100(self):
+        rng = np.random.default_rng(100)
+        deltas = rng.normal(0.0, 0.05, 100)
+        deltas[rng.choice(100, 15, replace=False)] = 0.0
+        deltas[rng.choice(100, 15, replace=False)] = 4e-10
+        deltas[rng.choice(100, 10, replace=False)] = deltas[0]
+        prior = rng.uniform(0.0, 1.0, (100, 100))
+        prior[rng.random((100, 100)) < 0.1] = 0.0
+        prior[rng.random((100, 100)) < 0.02] = 1e-308
+        np.fill_diagonal(prior, 1.0)
+        for opts in (ModelOptions(), UNCLAMPED):
+            _assert_kernel_matches_scalar_rule(deltas, prior, opts)
+
+    @pytest.mark.parametrize(
+        "deltas, prior",
+        [
+            ([np.nan, 0.1], [[1.0, 0.5], [0.5, 1.0]]),
+            ([0.1, np.inf], [[1.0, 0.5], [0.5, 1.0]]),
+            ([0.1, 0.2], [[1.0, np.nan], [0.5, 1.0]]),
+            ([0.1, 0.2], [[1.0, 0.5], [-0.5, 1.0]]),
+        ],
+        ids=["nan-delta", "inf-delta", "nan-prior", "negative-prior"],
+    )
+    def test_domain_errors(self, deltas, prior):
+        with pytest.raises(DomainError):
+            _updated_entries(np.array(deltas), np.array(prior), ModelOptions())
+
+    def test_overflowing_delta_is_a_domain_error(self):
+        big = ModelOptions(normalize_w=False)
+        w_prev = _vec([1.7e308, -1.7e308, 0.5], 0)
+        w_curr = _vec([-1.7e308, 1.7e308, 0.5], 1)
+        r = InfluenceMatrix(np.full((3, 3), 0.5) + 0.5 * np.eye(3), 1)
+        with pytest.raises(DomainError):
+            update_matrix(w_prev, w_curr, r, big)
+
+    def test_overflowing_ratio_leaks_no_warning(self, tmp_path, capsys, monkeypatch):
+        # x = dw_i / (dw_j * 1e-308) overflows in the first step
+        doc = {
+            "subsystems": ["a", "b", "c"],
+            "w0": [0.5, 0.5, 0.5],
+            "w1": [0.7, 0.6, 0.45],
+            "r1": [[1.0, 1e-308, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]],
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        args = ["simulate", "--scenario", str(path), "--format", "structured"]
+        assert main(args) == 0
+        out = capsys.readouterr()
+        assert "Warning" not in out.err
+        # the same trace as a run through the per-cell reference
+        monkeypatch.setattr("crossimpact.model._updated_entries", _scalar_entries)
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.out
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,37 @@ class TestTraceRoundTrip:
         assert main(["rank", "--trace", str(path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["steps"][0].update(t=2.9),
+            lambda doc: doc["steps"][0].update(t=True),
+            lambda doc: doc["steps"][0].update(t="2"),
+            lambda doc: doc["steps"][1]["branches"].update(ratio=2.7),
+            lambda doc: doc["steps"][1]["branches"].update(equal=True),
+            lambda doc: doc["steps"][1]["branches"].update(degenerate=None),
+        ],
+        ids=["t-fraction", "t-bool", "t-str-digits", "count-fraction", "count-bool", "count-null"],
+    )
+    def test_non_integral_fields_rejected(self, mutate, tmp_path, capsys):
+        doc = json.loads(write_trace(random_trace(np.random.default_rng(9), steps=3), "structured"))
+        mutate(doc)
+        text = json.dumps(doc)
+        with pytest.raises(ParseError, match=r"steps\[[01]\]"):
+            parse_trace(text)
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        assert main(["rank", "--trace", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self):
+        trace = random_trace(np.random.default_rng(10), steps=3)
+        doc = json.loads(write_trace(trace, "structured"))
+        for step_doc in doc["steps"]:
+            step_doc["t"] = float(step_doc["t"])
+            step_doc["branches"] = {k: float(v) for k, v in step_doc["branches"].items()}
+        assert parse_trace(json.dumps(doc)) == trace
+
 
 class TestAuxiliaryDocuments:
     def test_matrix_round_trip(self):
