@@ -146,20 +146,25 @@ def solve_utility_min_norm(
     u = np.zeros((n, n))
     residuals = []
     notes = []
-    for i in range(n):
-        ss = float(np.dot(r[i], r[i]))
-        if ss == 0.0:
-            if w[i] != 0.0:
-                raise InfeasibleRowError(
-                    i,
-                    f"row {i + 1} infeasible: all-zero strengths cannot produce "
-                    f"nonzero target {w[i]!r}",
-                )
-            notes.append(f"row {i + 1} degenerate: all-zero strengths with zero target")
-            residuals.append(0.0)
-            continue
-        u[i] = r[i] * (w[i] / ss)
-        residuals.append(abs(_forward(r[i], u[i]) - w[i]))
+    # Overflow is rejected rather than warned about: an infinite sum of
+    # squares just below, an infinite weight by UtilityMatrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            ss = float(np.dot(r[i], r[i]))
+            if math.isinf(ss):
+                raise DomainError(f"row {i + 1}: the strengths' sum of squares overflows")
+            if ss == 0.0:
+                if w[i] != 0.0:
+                    raise InfeasibleRowError(
+                        i,
+                        f"row {i + 1} infeasible: all-zero strengths cannot produce "
+                        f"nonzero target {w[i]!r}",
+                    )
+                notes.append(f"row {i + 1} degenerate: all-zero strengths with zero target")
+                residuals.append(0.0)
+                continue
+            u[i] = r[i] * (w[i] / ss)
+            residuals.append(abs(_forward(r[i], u[i]) - w[i]))
     report = CalibrationReport(CONSTRAINT_TOL, tuple(residuals), (0,) * n, tuple(notes))
     return UtilityMatrix(u), report
 
@@ -168,8 +173,6 @@ def verify_min_norm(
     utility,
     influence,
     performance: PerformanceVector,
-    trials: int = 100,
-    seed: int = 0,
 ) -> bool:
     """Certify that each utility row is the shortest one keeping its
     constraint.
@@ -178,9 +181,8 @@ def verify_min_norm(
     reproduced performance, so the shortest such row is the projection
     p_i of u_i onto r_i (zero for an all-zero strength row), and u_i is
     minimal iff ||u_i|| <= ||p_i||, with 1e-9 of slack (relative above
-    ||u_i|| = 1).  The check is exact: ``trials`` and ``seed`` remain
-    for callers of the former random probe and have no effect.  Both
-    matrix arguments may be typed matrices or raw square grids.
+    ||u_i|| = 1).  Both matrix arguments may be typed matrices or raw
+    square grids.
     """
     grid = _strength_grid(influence)
     u_grid = _strength_grid(utility)

@@ -20,9 +20,7 @@ from .analysis import influence_ranking, quality_coefficient, trend
 from .calibration import TuneOptions, solve_utility_min_norm, tune_initial_r
 from .errors import (
     CrossImpactError,
-    DegenerateRankingError,
     DomainError,
-    InfeasibleRowError,
     InputError,
     ParseError,
     SequencingError,
@@ -72,16 +70,15 @@ def _note(message: str) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
 
 
 def cmd_simulate(args) -> int:
     scenario = parse_scenario(_read(args.scenario))
-    horizon = args.horizon if args.horizon is not None else scenario.horizon
-    if horizon < 1:
-        _note(f"error: --horizon must be >= 1, got {horizon}")
-        return EXIT_INPUT
-    trace = simulate(scenario, horizon)
+    trace = simulate(scenario, args.horizon if args.horizon is not None else scenario.horizon)
     _emit(write_trace(trace, args.format), args.out)
     totals = BranchCounts(
         sum(s.branches.one_zero for s in trace.steps),
@@ -238,9 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InputError, ShapeError, DomainError, SequencingError) as e:
         _note(f"error: {e}")
         return EXIT_INPUT
-    except (InfeasibleRowError, DegenerateRankingError) as e:
-        _note(f"error: {e}")
-        return EXIT_NUMERICAL
     except CrossImpactError as e:
         _note(f"error: {e}")
         return EXIT_NUMERICAL

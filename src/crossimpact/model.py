@@ -436,8 +436,6 @@ def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
     the state at timestamp s + 1.  Identical scenarios always produce
     identical traces.
     """
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
     violations = scenario.validate(horizon)
     if violations:
         raise ValidationError(violations)
@@ -445,9 +443,12 @@ def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
     opts = scenario.options
     w_prev, w_curr, r_curr = scenario.w0, scenario.w1, scenario.r1
     steps: list[TraceStep] = []
-    for s in range(1, horizon + 1):
-        policy = scenario.policy.get(s)
-        w_next, r_next, counts = step(w_prev, w_curr, r_curr, utility, policy, opts)
-        steps.append(TraceStep(w_next.timestamp, w_next, r_next, counts))
-        w_prev, w_curr, r_curr = w_curr, w_next, r_next
+    # A performance vector that overflows (a huge policy emphasis, say) is
+    # rejected as a DomainError by PerformanceVector, with no numpy warning.
+    with np.errstate(over="ignore"):
+        for s in range(1, horizon + 1):
+            policy = scenario.policy.get(s)
+            w_next, r_next, counts = step(w_prev, w_curr, r_curr, utility, policy, opts)
+            steps.append(TraceStep(w_next.timestamp, w_next, r_next, counts))
+            w_prev, w_curr, r_curr = w_curr, w_next, r_next
     return SimulationTrace(tuple(steps))

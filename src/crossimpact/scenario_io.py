@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+import reprlib
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .calibration import CalibrationReport, solve_utility_min_norm
 from .errors import DomainError, InputError, ParseError, ShapeError, ValidationError
 from .model import (
     BranchCounts,
-    DEFAULT_SUBSYSTEM_NAMES,
     InfluenceMatrix,
     ModelOptions,
     PerformanceVector,
@@ -43,6 +43,34 @@ from .model import (
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _json_int(digits: str) -> int:
+    """Every number read here becomes a binary64, so a JSON integer must
+    fit one."""
+    try:
+        value = int(digits)
+        float(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"a {len(digits)}-character integer is outside the binary64 range") from None
+    return value
+
+
+def _load_json(text: str, what: str, kind: str | None = None) -> dict:
+    """Decode one JSON object document, mapping every decoding failure
+    (syntax, oversized integers, nesting too deep) to ParseError.  With
+    ``kind``, the object must carry ``"kind": kind``."""
+    try:
+        doc = json.loads(text, parse_int=_json_int)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{what} syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"{what} cannot be decoded: {e}") from e
+    if kind is None and not isinstance(doc, dict):
+        raise ParseError(f"{what} document must be a JSON object")
+    if kind is not None and (not isinstance(doc, dict) or doc.get("kind") != kind):
+        raise ParseError(f"{what} document must be an object with kind == {kind!r}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +113,16 @@ class Scenario:
 
     def validate(self, horizon: int | None = None) -> list[str]:
         """Collect every violation instead of failing on the first."""
-        horizon = self.horizon if horizon is None else int(horizon)
-        out: list[str] = []
-        n = self.subsystems.size
-        for name, got in (("w0", self.w0.size), ("w1", self.w1.size), ("r1", self.r1.size)):
-            if got != n:
-                out.append(f"{name} has size {got}, expected {n} (one per subsystem)")
-        if self.utility is not None and self.utility.size != n:
-            out.append(f"u has size {self.utility.size}, expected {n}")
+        out = _scenario_violations(
+            self.size,
+            self.w0.values,
+            self.w1.values,
+            self.r1.entries,
+            None if self.utility is None else self.utility.entries,
+            {k: p.emphasis for k, p in self.policy.items()},
+            self.options,
+            self.horizon if horizon is None else int(horizon),
+        )
         if self.w0.timestamp != 0 or self.w1.timestamp != 1:
             out.append(
                 "seed vectors must carry timestamps 0 and 1, got "
@@ -100,27 +130,6 @@ class Scenario:
             )
         if self.r1.timestamp != 1:
             out.append(f"r1 must carry timestamp 1, got {self.r1.timestamp}")
-        if self.options.normalize_w:
-            for name, vec in (("w0", self.w0), ("w1", self.w1)):
-                for k, v in enumerate(vec.values):
-                    if not (0.0 <= v <= 1.0):
-                        out.append(f"{name}[{k}] = {v!r} outside [0, 1]")
-        if self.options.clamp and self.r1.size == n:
-            for i in range(n):
-                for j in range(n):
-                    if self.r1.entries[i, j] > 1.0:
-                        out.append(f"r1[{i}][{j}] = {self.r1.entries[i, j]!r} outside [0, 1]")
-        if horizon < 1:
-            out.append(f"horizon must be >= 1, got {horizon}")
-        for step_key in sorted(self.policy):
-            intervention = self.policy[step_key]
-            if step_key < 1 or step_key > horizon:
-                out.append(f"policy step {step_key} outside the horizon 1..{horizon}")
-            if intervention.emphasis.shape[0] != n:
-                out.append(
-                    f"policy step {step_key} emphasis has size "
-                    f"{intervention.emphasis.shape[0]}, expected {n}"
-                )
         return out
 
     def __eq__(self, other) -> bool:
@@ -138,84 +147,130 @@ class Scenario:
         )
 
 
+def _scenario_violations(
+    n: int,
+    w0: np.ndarray | None,
+    w1: np.ndarray | None,
+    r1: np.ndarray | None,
+    u: np.ndarray | None,
+    emphases: dict[int, np.ndarray],
+    options: ModelOptions,
+    horizon: int | None,
+) -> list[str]:
+    """Every semantic scenario rule, over plain arrays.  None marks a part
+    that is absent or already rejected as malformed; its rules are skipped.
+    Bad cells are found with masks, so a clean grid costs no Python loop."""
+    out: list[str] = []
+    for name, vec in (("w0", w0), ("w1", w1)):
+        if vec is None:
+            continue
+        if vec.shape[0] != n:
+            out.append(f"{name} has length {vec.shape[0]}, expected {n} (one per subsystem)")
+        if options.normalize_w:
+            out += _bad_cells(name, vec, (vec < 0.0) | (vec > 1.0), "outside [0, 1]")
+    for name, grid in (("r1", r1), ("u", u)):
+        if grid is not None and grid.shape != (n, n):
+            out.append(f"{name} has shape {grid.shape[0]}x{grid.shape[1]}, expected {n}x{n}")
+    if r1 is not None:
+        diagonal = np.eye(*r1.shape, dtype=bool)
+        out += _bad_cells("r1", r1, diagonal & (r1 != 1.0), "but the diagonal must be exactly 1")
+        out += _bad_cells("r1", r1, ~diagonal & (r1 < 0.0), "is negative")
+        if options.clamp:
+            out += _bad_cells("r1", r1, ~diagonal & (r1 > 1.0), "outside [0, 1]")
+    if horizon is not None and horizon < 1:
+        out.append(f"horizon must be >= 1, got {horizon}")
+    for step_key in sorted(emphases):
+        if horizon is not None and not 1 <= step_key <= horizon:
+            out.append(f"policy step {step_key} outside the horizon 1..{horizon}")
+        if emphases[step_key].shape[0] != n:
+            out.append(
+                f"policy step {step_key} emphasis has length "
+                f"{emphases[step_key].shape[0]}, expected {n}"
+            )
+    return out
+
+
+def _bad_cells(name: str, values: np.ndarray, mask: np.ndarray, what: str) -> list[str]:
+    return [
+        f"{name}{''.join(f'[{k}]' for k in cell)} = {float(values[cell])!r} {what}"
+        for cell in map(tuple, np.argwhere(mask))
+    ]
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _check_vector(doc: dict, key: str, size: int | None, out: list[str]) -> list[float] | None:
-    raw = doc[key]
-    if not isinstance(raw, list):
-        out.append(f"{key} must be an array of numbers")
+def _finite_array(raw, key: str, ndim: int, out: list[str]) -> np.ndarray | None:
+    """A JSON array (``ndim`` 1) or rectangular array of arrays (``ndim`` 2)
+    of finite numbers, as a float array.  Otherwise None, with each fault
+    appended to ``out``."""
+    rows = raw if ndim == 2 else [raw]
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in rows):
+        out.append(f"{key} must be an array of {'arrays of ' * (ndim - 1)}numbers")
         return None
-    bad = False
-    for k, v in enumerate(raw):
-        if not _is_number(v) or not math.isfinite(v):
-            out.append(f"{key}[{k}] must be a finite number, got {v!r}")
-            bad = True
-    if bad:
+    if len({len(row) for row in rows}) > 1:
+        out.append(f"{key} must be rectangular: its rows differ in length")
         return None
-    if size is not None and len(raw) != size:
-        out.append(f"{key} has length {len(raw)}, expected {size}")
-        return None
-    return [float(v) for v in raw]
-
-
-def _check_matrix(doc_value, key: str, size: int, out: list[str]) -> list[list[float]] | None:
-    if not isinstance(doc_value, list) or len(doc_value) != size:
-        out.append(f"{key} must be a {size}x{size} array of arrays")
-        return None
-    rows: list[list[float]] = []
-    bad = False
-    for i, row in enumerate(doc_value):
-        if not isinstance(row, list) or len(row) != size:
-            out.append(f"{key}[{i}] must be an array of {size} numbers")
-            bad = True
-            continue
+    if all(set(map(type, row)) <= {int, float} and all(map(math.isfinite, row)) for row in rows):
+        grid = np.array(raw, dtype=float)
+        return grid if grid.ndim == ndim else grid.reshape(0, 0)  # raw == [] as a matrix
+    for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if not _is_number(v) or not math.isfinite(v):
-                out.append(f"{key}[{i}][{j}] must be a finite number, got {v!r}")
-                bad = True
-        if not bad:
-            rows.append([float(v) for v in row])
-    return None if bad else rows
+                cell = f"[{i}][{j}]" if ndim == 2 else f"[{j}]"
+                out.append(f"{key}{cell} must be a finite number, got {reprlib.repr(v)}")
+    return None
 
 
 _SCENARIO_KEYS = {"subsystems", "w0", "w1", "r1", "u", "policy", "options", "horizon"}
-_OPTION_KEYS = {"clamp", "eps_delta", "normalize_w"}
+_OPTION_TYPES = {"clamp": bool, "eps_delta": float, "normalize_w": bool}
+
+
+def _parse_options(raw, out: list[str]) -> ModelOptions:
+    """The document's options over the defaults; ModelOptions checks ranges."""
+    options = ModelOptions()
+    if not isinstance(raw, dict):
+        out.append("options must be an object")
+        return options
+    for key, value in raw.items():
+        kind = _OPTION_TYPES.get(key)
+        if kind is None:
+            out.append(f"unknown options key {key!r}")
+        elif not (isinstance(value, bool) if kind is bool else _is_number(value)):
+            wanted = "a boolean" if kind is bool else "a number"
+            out.append(f"options.{key} must be {wanted}, got {reprlib.repr(value)}")
+        else:
+            try:
+                options = replace(options, **{key: kind(value)})
+            except DomainError as e:
+                out.append(f"options.{e}")
+    return options
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
-    Raises ParseError with line/column on malformed JSON, and
-    ValidationError carrying the complete list of semantic violations
-    otherwise.
+    Raises ParseError with line/column on malformed JSON.  Otherwise this
+    checks only the document's structure (JSON types, finite numbers,
+    rectangular arrays, unknown and missing keys), leaves the semantic
+    rules to the one function that ``Scenario.validate`` also uses, and
+    raises ValidationError carrying the complete list of violations.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"scenario syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
+    doc = _load_json(text, "scenario")
+    out = [f"unknown key {key!r}" for key in doc if key not in _SCENARIO_KEYS]
 
-    out: list[str] = []
-    for key in doc:
-        if key not in _SCENARIO_KEYS:
-            out.append(f"unknown key {key!r}")
-
-    names = DEFAULT_SUBSYSTEM_NAMES
+    subsystems = SubsystemSet()
     if "subsystems" in doc:
         raw_names = doc["subsystems"]
-        if (
-            not isinstance(raw_names, list)
-            or len(raw_names) < 2
-            or any(not isinstance(s, str) or not s for s in raw_names)
-            or len(set(raw_names)) != len(raw_names)
-        ):
-            out.append("subsystems must be an array of at least 2 unique non-empty strings")
+        if not isinstance(raw_names, list) or not all(isinstance(s, str) for s in raw_names):
+            out.append("subsystems must be an array of strings")
         else:
-            names = tuple(raw_names)
-    n = len(names)
+            try:
+                subsystems = SubsystemSet(raw_names)
+            except ValidationError as e:
+                out += e.violations
+    n = subsystems.size
 
     missing = [k for k in ("w0", "w1") if k not in doc]
     if missing:
@@ -226,107 +281,55 @@ def parse_scenario(text: str) -> Scenario:
         )
     if "r1" not in doc:
         out.append("missing r1: a scenario must seed the influence matrix")
+    options = _parse_options(doc.get("options", {}), out)
+    w0 = _finite_array(doc["w0"], "w0", 1, out) if "w0" in doc else None
+    w1 = _finite_array(doc["w1"], "w1", 1, out) if "w1" in doc else None
+    r1 = _finite_array(doc["r1"], "r1", 2, out) if "r1" in doc else None
 
-    # options first; range checks depend on them
-    clamp, eps_delta, normalize_w = True, 1e-9, True
-    if "options" in doc:
-        raw_opts = doc["options"]
-        if not isinstance(raw_opts, dict):
-            out.append("options must be an object")
-        else:
-            for key in raw_opts:
-                if key not in _OPTION_KEYS:
-                    out.append(f"unknown options key {key!r}")
-            if "clamp" in raw_opts:
-                if not isinstance(raw_opts["clamp"], bool):
-                    out.append("options.clamp must be a boolean")
-                else:
-                    clamp = raw_opts["clamp"]
-            if "normalize_w" in raw_opts:
-                if not isinstance(raw_opts["normalize_w"], bool):
-                    out.append("options.normalize_w must be a boolean")
-                else:
-                    normalize_w = raw_opts["normalize_w"]
-            if "eps_delta" in raw_opts:
-                v = raw_opts["eps_delta"]
-                if not _is_number(v) or not math.isfinite(v) or v <= 0.0:
-                    out.append(f"options.eps_delta must be a positive finite number, got {v!r}")
-                else:
-                    eps_delta = float(v)
+    utility = None
+    raw_u = doc.get("u", "calibrate")
+    if isinstance(raw_u, str):
+        if raw_u != "calibrate":
+            out.append(f"u must be a matrix or the string \"calibrate\", got {reprlib.repr(raw_u)}")
+    else:
+        utility = _finite_array(raw_u, "u", 2, out)
 
-    w0 = _check_vector(doc, "w0", n, out) if "w0" in doc else None
-    w1 = _check_vector(doc, "w1", n, out) if "w1" in doc else None
-    if normalize_w:
-        for key, vec in (("w0", w0), ("w1", w1)):
-            for k, v in enumerate(vec or ()):
-                if not (0.0 <= v <= 1.0):
-                    out.append(f"{key}[{k}] = {v!r} outside [0, 1]")
+    horizon = doc.get("horizon", 10)
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        out.append(f"horizon must be an integer, got {reprlib.repr(horizon)}")
+        horizon = None
 
-    r1 = _check_matrix(doc["r1"], "r1", n, out) if "r1" in doc else None
-    if r1 is not None:
-        for i in range(n):
-            for j in range(n):
-                v = r1[i][j]
-                if i == j and v != 1.0:
-                    out.append(f"r1[{i}][{j}] = {v!r} but the diagonal must be exactly 1")
-                elif v < 0.0:
-                    out.append(f"r1[{i}][{j}] = {v!r} is negative")
-                elif clamp and v > 1.0:
-                    out.append(f"r1[{i}][{j}] = {v!r} outside [0, 1]")
+    emphases: dict[int, np.ndarray] = {}
+    raw_policy = doc.get("policy", {})
+    if not isinstance(raw_policy, dict):
+        out.append("policy must be an object mapping step -> emphasis array")
+        raw_policy = {}
+    seen: dict[int, str] = {}
+    for raw_key in sorted(raw_policy):
+        try:
+            step_key = int(raw_key)
+        except ValueError:
+            out.append(f"policy step {reprlib.repr(raw_key)} is not an integer")
+            continue
+        if step_key in seen:
+            out.append(f"policy step {step_key} is given twice, as {seen[step_key]!r} and {raw_key!r}")
+            continue
+        seen[step_key] = raw_key
+        emphasis = _finite_array(raw_policy[raw_key], f"policy step {step_key} emphasis", 1, out)
+        if emphasis is not None:
+            emphases[step_key] = emphasis
 
-    utility_rows = None
-    calibrate = True
-    if "u" in doc:
-        raw_u = doc["u"]
-        if raw_u == "calibrate":
-            pass
-        elif isinstance(raw_u, str):
-            out.append(f"u must be a matrix or the string \"calibrate\", got {raw_u!r}")
-        else:
-            utility_rows = _check_matrix(raw_u, "u", n, out)
-            calibrate = False
-
-    horizon = 10
-    if "horizon" in doc:
-        raw_h = doc["horizon"]
-        if not isinstance(raw_h, int) or isinstance(raw_h, bool) or raw_h < 1:
-            out.append(f"horizon must be an integer >= 1, got {raw_h!r}")
-        else:
-            horizon = raw_h
-
-    policy: dict[int, PolicyIntervention] = {}
-    if "policy" in doc:
-        raw_policy = doc["policy"]
-        if not isinstance(raw_policy, dict):
-            out.append("policy must be an object mapping step -> emphasis array")
-        else:
-            for raw_key in sorted(raw_policy):
-                try:
-                    step_key = int(raw_key)
-                except (TypeError, ValueError):
-                    out.append(f"policy step {raw_key!r} is not an integer")
-                    continue
-                if step_key < 1 or step_key > horizon:
-                    out.append(f"policy step {step_key} outside the horizon 1..{horizon}")
-                    continue
-                shim = {"emphasis": raw_policy[raw_key]}
-                emphasis = _check_vector(shim, "emphasis", n, out)
-                if emphasis is None:
-                    out.append(f"policy step {step_key} must map to an array of {n} finite numbers")
-                    continue
-                policy[step_key] = PolicyIntervention(emphasis, step_key)
-
+    out += _scenario_violations(n, w0, w1, r1, utility, emphases, options, horizon)
     if out:
         raise ValidationError(out)
-
     return Scenario(
-        subsystems=SubsystemSet(names),
+        subsystems=subsystems,
         w0=PerformanceVector(w0, 0),
         w1=PerformanceVector(w1, 1),
         r1=InfluenceMatrix(r1, 1),
-        utility=None if calibrate else UtilityMatrix(utility_rows),
-        policy=policy,
-        options=ModelOptions(clamp=clamp, eps_delta=eps_delta, normalize_w=normalize_w),
+        utility=None if utility is None else UtilityMatrix(utility),
+        policy={k: PolicyIntervention(e, k) for k, e in emphases.items()},
+        options=options,
         horizon=horizon,
     )
 
@@ -584,12 +587,7 @@ def _integral(value, what: str) -> int:
 
 
 def _parse_trace_structured(text: str) -> SimulationTrace:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"trace syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict) or doc.get("kind") != "trace":
-        raise ParseError("structured trace must be an object with kind == 'trace'")
+    doc = _load_json(text, "trace", "trace")
     step_docs = doc.get("steps", [])
     if not isinstance(step_docs, list):
         raise ParseError("trace 'steps' must be a list")
@@ -611,7 +609,11 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
             raise ParseError(f"trace steps[{k}]: missing or malformed field {e!r}") from e
     if not steps:
         raise ParseError("trace document has no steps")
-    return SimulationTrace(tuple(steps))
+    trace = SimulationTrace(tuple(steps))
+    size = _integral(doc.get("size"), "trace 'size'")
+    if size != trace.size:
+        raise ParseError(f"trace 'size' is {size}, but its steps have {trace.size} subsystems")
+    return trace
 
 
 def _parse_trace_table(text: str) -> SimulationTrace:
@@ -685,12 +687,7 @@ def write_ranking(ranking: InfluenceRanking) -> str:
 
 
 def parse_ranking(text: str) -> InfluenceRanking:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"ranking syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict) or doc.get("kind") != "ranking":
-        raise ParseError("ranking document must be an object with kind == 'ranking'")
+    doc = _load_json(text, "ranking", "ranking")
     try:
         labels = [re.fullmatch(r"S([1-9][0-9]*)", label) for label in doc["order"]]
         if not all(labels):
@@ -733,12 +730,7 @@ def write_tune_result(result: TuneResult) -> str:
 
 
 def parse_tune_result(text: str) -> TuneResult:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"tune syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict) or doc.get("kind") != "tune":
-        raise ParseError("tune document must be an object with kind == 'tune'")
+    doc = _load_json(text, "tune", "tune")
     try:
         report = CalibrationReport(
             tol=float(doc["report"]["tol"]),

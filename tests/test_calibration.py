@@ -77,6 +77,17 @@ class TestSolveUtility:
         assert err.value.row == 2
         assert "row 3" in str(err.value)
 
+    def test_overflowing_row_named(self):
+        grid = np.eye(3)
+        grid[1, 2] = 1e200  # the row's sum of squares exceeds the binary64 range
+        with pytest.raises(DomainError, match="row 2"):
+            solve_utility_min_norm(grid, PerformanceVector([0.1, 0.1, 0.3], 1))
+
+    def test_subnormal_row_rejected_without_warning(self):
+        # the sum of squares of 1e-160 is subnormal, so the weight overflows
+        with pytest.raises(DomainError, match="finite"):
+            solve_utility_min_norm([[1e-160, 0.0], [0.0, 1.0]], PerformanceVector([0.5, 0.5], 1))
+
     def test_degenerate_row_with_zero_target(self):
         grid = np.eye(5)
         grid[2] = 0.0
@@ -101,7 +112,7 @@ class TestVerifyMinNorm:
     def test_solver_output_passes(self, example_matrix):
         w = PerformanceVector([0.5, 0.38, 0.42, 0.34, 0.5], 1)
         utility, _ = solve_utility_min_norm(example_matrix, w)
-        assert verify_min_norm(utility, example_matrix, w, trials=100)
+        assert verify_min_norm(utility, example_matrix, w)
 
     def test_null_space_perturbation_detected(self, example_matrix):
         w = PerformanceVector([0.5, 0.38, 0.42, 0.34, 0.5], 1)
@@ -116,11 +127,11 @@ class TestVerifyMinNorm:
         perturbed = np.array(utility.entries)
         perturbed[0] += d
         assert np.dot(r_row, perturbed[0]) == pytest.approx(0.5, abs=1e-9)
-        assert not verify_min_norm(UtilityMatrix(perturbed), example_matrix, w, trials=100)
+        assert not verify_min_norm(UtilityMatrix(perturbed), example_matrix, w)
 
     def test_one_subsystem_grid_vacuous(self):
         # a single-subsystem grid has a trivial null space; nothing to probe
-        assert verify_min_norm([[0.5]], [[2.0]], PerformanceVector([1.0], 0), trials=10)
+        assert verify_min_norm([[0.5]], [[2.0]], PerformanceVector([1.0], 0))
 
     def test_zero_strength_row_needs_zero_utility(self):
         grid = [[1.0, 0.5], [0.0, 0.0]]
@@ -142,8 +153,7 @@ class TestVerifyMinNorm:
         if not valid:  # add a constraint-preserving direction to row 2
             r_row = example_matrix.entries[2]
             entries[2] += 0.3 * (np.eye(5)[0] - r_row * r_row[0] / np.dot(r_row, r_row))
-        answers = {verify_min_norm(entries, example_matrix, w, seed=seed) for seed in (0, 12345)}
-        assert answers == {valid}
+        assert verify_min_norm(entries, example_matrix, w) == valid
 
 
 class TestTuneInitialR:

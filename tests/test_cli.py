@@ -54,10 +54,21 @@ class TestSimulateCommand:
 
     def test_zero_horizon_rejected(self, scenario_file, capsys):
         assert main(["simulate", "--scenario", scenario_file, "--horizon", "0"]) == 1
-        assert "--horizon" in capsys.readouterr().err
+        assert "horizon must be >= 1" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["simulate", "--scenario", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--scenario"), ("rank", "--trace"), ("qc", "--series"), ("tune", "--series")],
+    )
+    def test_invalid_utf8_rejected(self, command, flag, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
 
     def test_out_flag_writes_file(self, scenario_file, tmp_path, capsys):
         out_path = tmp_path / "trace.csv"

@@ -12,7 +12,6 @@ from crossimpact import (
     BranchCounts,
     DomainError,
     InfluenceMatrix,
-    InputError,
     ModelOptions,
     PerformanceVector,
     PolicyIntervention,
@@ -500,8 +499,9 @@ class TestSimulate:
 
     def test_bad_horizon(self, example_matrix, uniform_utility):
         scenario = self_consistent_scenario(example_matrix, uniform_utility)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError) as err:
             simulate(scenario, 0)
+        assert "horizon must be >= 1, got 0" in err.value.violations
 
     def test_policy_schedule_applies_at_its_step(self, example_matrix, uniform_utility):
         base = self_consistent_scenario(example_matrix, uniform_utility, horizon=5)

@@ -1,0 +1,158 @@
+"""Parser fuzzing: mutated scenario documents keep the error contract.
+
+Every mutated document either parses into a scenario that passes its own
+``validate``, or is rejected with ParseError or ValidationError; through
+the CLI every one of them exits 0, 1 or 2, and a rejected one exits 1.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crossimpact import ParseError, ValidationError, parse_scenario
+from crossimpact.cli import main
+
+BASE = {
+    "subsystems": ["a", "b", "c"],
+    "w0": [0.5, 0.25, 0.75],
+    "w1": [0.5, 0.375, 0.625],
+    "r1": [[1.0, 0.5, 0.0], [0.25, 1.0, 0.75], [0.125, 0.5, 1.0]],
+    "u": [[0.25, 0.125, 0.0], [0.1, 0.3, 0.2], [0.0, 0.5, 0.25]],
+    "policy": {"1": [0.0, 0.05, -0.05], "3": [0.1, 0.0, 0.0]},
+    "options": {"clamp": True, "eps_delta": 1e-9, "normalize_w": True},
+    "horizon": 4,
+}
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+cell_values = st.floats() | st.sampled_from(
+    [-0.5, -0.0, 0.0, 1.0, 1.5, 1e308, -1e-308, float("nan"), float("inf")]
+)
+factors = st.sampled_from([-1, 0, 2, 0.5, 1e3, 1e300, -1e-300])
+ACTIONS = ["drop", "retype", "rescale", "cell", "resize", "policy", "option", "extra"]
+STEP_KEYS = ["0", "01", "+1", " 2", "3", "4", "5", "-1", "1_0", "x"]
+
+
+def _paths(node, prefix=()):
+    """Every path into ``node``, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _scaled(node, factor):
+    if isinstance(node, list):
+        return [_scaled(v, factor) for v in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return node * factor
+    return node
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(BASE))
+    if draw(st.booleans()):
+        doc["u"] = "calibrate"
+    for _ in range(draw(st.integers(1, 4))):
+        paths = sorted(_paths(doc), key=repr)
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent, key = _get(doc, path[:-1]), path[-1]
+        action = draw(st.sampled_from(ACTIONS))
+        if action == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "retype":
+            parent[key] = draw(json_values)
+        elif action == "rescale":
+            parent[key] = _scaled(parent[key], draw(factors))
+        elif action == "cell":
+            parent[key] = draw(cell_values)
+        elif action == "resize" and isinstance(parent[key], list):
+            if parent[key] and draw(st.booleans()):
+                parent[key].pop()
+            else:
+                parent[key].append(json.loads(json.dumps(parent[key][-1])) if parent[key] else 0.5)
+        elif action == "policy" and isinstance(doc.get("policy"), dict):
+            step = draw(st.sampled_from(STEP_KEYS) | st.text(max_size=3))
+            doc["policy"][step] = draw(st.lists(cell_values, min_size=2, max_size=4))
+        elif action == "option" and isinstance(doc.get("options"), dict):
+            name = draw(st.sampled_from(["clamp", "normalize_w", "eps_delta"]))
+            doc["options"][name] = draw(st.booleans() | cell_values)
+        elif action == "extra":
+            doc[draw(st.text(max_size=6))] = draw(json_values)
+    if draw(st.booleans()) and isinstance(doc.get("horizon"), int):
+        doc["horizon"] = draw(st.integers(-2, 8))
+    return json.dumps(doc)
+
+
+def _policy_text(items: str) -> str:
+    return json.dumps({k: v for k, v in BASE.items() if k != "policy"})[:-1] + ', "policy": {%s}}' % items
+
+
+def _literal_text(literal: str) -> str:
+    return json.dumps(BASE).replace("0.125", literal, 1)
+
+
+def _unbounded_text(**changes) -> str:
+    """BASE without clamping or normalization, with ``changes`` applied."""
+    doc = dict(BASE, options={"clamp": False, "eps_delta": 1e-9, "normalize_w": False})
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+DEEP = "[" * 50_000 + "]" * 50_000
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+@given(text=mutated_documents())
+@example(text=json.dumps(BASE))
+@example(text=DEEP)
+@example(text='{"w0": %s}' % DEEP)
+@example(text=_literal_text("1" + "0" * 400))
+@example(text=_literal_text("1" * 5000))
+@example(text=json.dumps(BASE).replace("0.05", "1" + "0" * 400))
+@example(text=json.dumps(BASE).replace('"u": [[0.25', '"u": [[1%s' % ("0" * 400)))
+@example(text=_policy_text('"1": [0.1, 0, 0], "01": [0.2, 0, 0]'))
+# overflow in the calibration's sum of squares and in the policy sum must
+# end as a DomainError, with no numpy warning on the way
+@example(text=_unbounded_text(u="calibrate", r1=[[1.0, 0.5, 0.0], [0.25, 1.0, 0.75], [1.25e299, 0.5, 1.0]]))
+@example(text=_unbounded_text(u=[[1e308, 0, 0], [0, 1, 0], [0, 0, 1]], policy={"1": [1e308, 0, 0]}))
+@settings(max_examples=150, deadline=None)
+def test_mutated_scenarios_keep_the_error_contract(text, scenario_path):
+    try:
+        scenario = parse_scenario(text)
+    except (ParseError, ValidationError):
+        scenario = None
+    else:
+        assert scenario.validate() == []
+    scenario_path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--scenario", str(scenario_path)])
+    assert code in (0, 1, 2)
+    if scenario is None:
+        assert code == 1
+    assert "Traceback" not in err.getvalue()

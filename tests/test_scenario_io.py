@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crossimpact import (
     CalibrationReport,
     DomainError,
+    InfluenceMatrix,
     InfluenceRanking,
     ModelOptions,
     ParseError,
@@ -129,6 +130,8 @@ class TestParseScenario:
             (lambda d: d.update(options={"plot": True}), "unknown options key"),
             (lambda d: d.update(horizon=0), "horizon"),
             (lambda d: d.update(extra=1), "unknown key"),
+            (lambda d: d.update(u=[[0.2] * 4] * 5), "u has shape 5x4"),
+            (lambda d: d.update(policy={"0": [0, 0, 0, 0, 0]}), "policy step 0 outside"),
         ],
     )
     def test_every_violation_is_named(self, mutate, fragment):
@@ -137,6 +140,53 @@ class TestParseScenario:
         with pytest.raises(ValidationError) as err:
             parse_scenario(json.dumps(doc))
         assert any(fragment in v for v in err.value.violations), err.value.violations
+
+    def test_duplicate_policy_steps_rejected(self):
+        doc = minimal_doc()
+        doc["policy"] = {"1": [0.1, 0, 0, 0, 0], "01": [0.2, 0, 0, 0, 0]}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert any("policy step 1 " in v and "twice" in v for v in err.value.violations)
+
+    def test_parser_and_validate_share_the_rules(self, example_matrix, uniform_utility):
+        # a typed scenario that breaks only semantic rules: validate and the
+        # parser must report the same violations in the same words
+        base = self_consistent_scenario(example_matrix, uniform_utility, horizon=3)
+        scenario = Scenario(
+            subsystems=base.subsystems,
+            w0=PerformanceVector([1.5, 0.2, 0.2, 0.2, -0.1], 0),
+            w1=base.w1,
+            r1=InfluenceMatrix(np.where(example_matrix.entries == 0.9, 1.25, example_matrix.entries), 1),
+            utility=base.utility,
+            policy={4: PolicyIntervention(np.zeros(5), 4)},
+            horizon=3,
+        )
+        violations = scenario.validate()
+        assert violations == [
+            "w0[0] = 1.5 outside [0, 1]",
+            "w0[4] = -0.1 outside [0, 1]",
+            "r1[0][1] = 1.25 outside [0, 1]",
+            "policy step 4 outside the horizon 1..3",
+        ]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(write_scenario(scenario))
+        assert err.value.violations == violations
+
+    def test_broken_diagonal_reported_with_other_violations(self):
+        doc = minimal_doc()
+        doc["r1"] = [list(row) for row in EXAMPLE_STRENGTHS]
+        doc["r1"][2][2] = 0.5
+        doc["r1"][3][0] = -0.25
+        doc["w1"] = [0.5, 0.4, 1.5, 0.3, 0.5]
+        doc["policy"] = {"11": [0, 0, 0, 0, 0]}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert set(err.value.violations) == {
+            "w1[2] = 1.5 outside [0, 1]",
+            "r1[2][2] = 0.5 but the diagonal must be exactly 1",
+            "r1[3][0] = -0.25 is negative",
+            "policy step 11 outside the horizon 1..10",
+        }
 
     def test_nan_rejected(self):
         text = '{"w0": [NaN, 0.4, 0.4, 0.3, 0.5], "w1": [0.5, 0.4, 0.4, 0.3, 0.5], "r1": %s}' % (
@@ -318,6 +368,21 @@ class TestTraceRoundTrip:
         assert main(["rank", "--trace", str(path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [7, 4, None, 5.5, "5"])
+    def test_size_must_match_steps(self, size, tmp_path, capsys):
+        doc = json.loads(write_trace(random_trace(np.random.default_rng(11), steps=3), "structured"))
+        if size is None:
+            del doc["size"]
+        else:
+            doc["size"] = size
+        text = json.dumps(doc)
+        with pytest.raises(ParseError, match="'size'"):
+            parse_trace(text)
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        assert main(["rank", "--trace", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_integral_floats_accepted(self):
         trace = random_trace(np.random.default_rng(10), steps=3)
         doc = json.loads(write_trace(trace, "structured"))
@@ -392,3 +457,86 @@ class TestAuxiliaryDocuments:
         assert back.r_prev == result.r_prev
         assert back.r_curr == result.r_curr
         assert back.report == result.report
+
+
+def _with_literal(doc: dict, place, literal: str) -> str:
+    """``doc`` as JSON text with the cell that ``place`` marks replaced by
+    a raw JSON literal, which ``json.dumps`` could not produce."""
+    place(doc, "@")
+    return json.dumps(doc).replace('"@"', literal)
+
+
+def _trace_doc() -> dict:
+    return json.loads(write_trace(random_trace(np.random.default_rng(12), steps=3), "structured"))
+
+
+def _ranking_doc() -> dict:
+    return json.loads(write_ranking(influence_ranking(random_trace(np.random.default_rng(13), steps=6))))
+
+
+def _tune_doc() -> dict:
+    rng = np.random.default_rng(14)
+    result = TuneResult(
+        random_influence(rng, timestamp=0),
+        random_influence(rng, timestamp=1),
+        CalibrationReport(1e-6, (0.0,) * 5, (1,) * 5),
+    )
+    return json.loads(write_tune_result(result))
+
+
+# (reader, function making a valid document, cell to overwrite)
+NUMBER_CELLS = {
+    "scenario-w0": (parse_scenario, minimal_doc, lambda d, v: d["w0"].__setitem__(0, v)),
+    "scenario-r1": (parse_scenario, minimal_doc, lambda d, v: d.update(r1=[[v] + row[1:] for row in d["r1"]])),
+    "scenario-u": (parse_scenario, minimal_doc, lambda d, v: d.update(u=[[v] * 5] * 5)),
+    "scenario-policy": (parse_scenario, minimal_doc, lambda d, v: d.update(policy={"1": [v, 0, 0, 0, 0]})),
+    "trace-w": (parse_trace, _trace_doc, lambda d, v: d["steps"][0]["w"].__setitem__(0, v)),
+    "trace-r": (parse_trace, _trace_doc, lambda d, v: d["steps"][1]["r"][0].__setitem__(1, v)),
+    "ranking-loadings": (parse_ranking, _ranking_doc, lambda d, v: d["loadings"].__setitem__(0, v)),
+    "tune-r_prev": (parse_tune_result, _tune_doc, lambda d, v: d["r_prev"][0].__setitem__(1, v)),
+}
+HUGE_INTEGERS = {"400-digit": "1" + "0" * 400, "5000-digit": "1" * 5000, "negative": "-" + "9" * 320}
+
+
+class TestJsonReaders:
+    @pytest.mark.parametrize("cell", sorted(NUMBER_CELLS))
+    @pytest.mark.parametrize("literal", sorted(HUGE_INTEGERS))
+    def test_huge_integer_is_a_parse_error(self, cell, literal):
+        reader, make, place = NUMBER_CELLS[cell]
+        text = _with_literal(make(), place, HUGE_INTEGERS[literal])
+        with pytest.raises(ParseError, match="binary64"):
+            reader(text)
+
+    @pytest.mark.parametrize("cell", sorted(NUMBER_CELLS))
+    def test_largest_integer_that_fits_is_read(self, cell):
+        # 2**1023 fits a binary64: decoding succeeds and any complaint is
+        # about the value, never an escaped exception
+        reader, make, place = NUMBER_CELLS[cell]
+        try:
+            reader(_with_literal(make(), place, str(2**1023)))
+        except (ParseError, ValidationError) as e:
+            assert "binary64" not in str(e)
+
+    @pytest.mark.parametrize("reader", [parse_scenario, parse_trace, parse_ranking, parse_tune_result])
+    def test_deep_nesting_is_a_parse_error(self, reader):
+        deep = "[" * 50_000 + "]" * 50_000
+        with pytest.raises(ParseError):
+            reader('{"kind": "trace", "steps": %s}' % deep)
+        with pytest.raises(ParseError):
+            reader(deep)
+
+    @pytest.mark.parametrize("literal", sorted(HUGE_INTEGERS))
+    def test_huge_integer_through_simulate_exits_1(self, literal, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(_with_literal(minimal_doc(), NUMBER_CELLS["scenario-r1"][2], HUGE_INTEGERS[literal]))
+        assert main(["simulate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "binary64" in err and "Traceback" not in err
+
+    def test_kind_is_checked(self):
+        doc = _tune_doc()
+        doc["kind"] = "ranking"
+        with pytest.raises(ParseError, match="kind == 'tune'"):
+            parse_tune_result(json.dumps(doc))
+        with pytest.raises(ParseError, match="JSON object"):
+            parse_scenario("[1, 2]")
