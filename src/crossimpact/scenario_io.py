@@ -9,8 +9,10 @@ consume them:
 * trace — CSV with header ``t,W1..Wn,R11..Rnn`` (row-major strengths) or
   a self-describing JSON document that also carries branch diagnostics.
 
-Every number is rendered with 17 significant digits, so written values
-parse back to the exact same binary64 and round trips are lossless.
+CSV cells carry 17 significant digits; JSON documents carry the shortest
+``repr`` that reads back as the same float, as ``json.dumps`` writes it.
+Either way a written value parses back to the exact same binary64, so
+round trips are lossless.
 Scenario validation collects all violations before reporting, so authors
 can fix a document in one pass.
 """
@@ -22,6 +24,7 @@ import math
 import re
 import reprlib
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -41,8 +44,39 @@ from .model import (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cells(values) -> str:
+    """Plain floats as CSV cells with 17 significant digits, enough for any
+    binary64 to read back unchanged."""
+    return ",".join([format(x, ".17g") for x in values])
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, whose indent makes the stdlib
+    fall back to its pure-Python encoder.  A list of floats is joined in
+    one pass with ``float.__repr__`` (the stdlib's own float format); NaN
+    and infinities go item by item so they are spelled as the stdlib
+    spells them.  Every other leaf, and every key, goes through
+    ``json.dumps``.  ``newline`` is the line break plus the current indent."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            items.append(f"{json.dumps(key)}: {_dumps(value, inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(map(isinstance, obj, repeat(float))):
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in text:  # 'nan' and 'inf' need the stdlib's spelling
+                return "[" + inner + text + newline + "]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + newline + "]"
+    return json.dumps(obj)
 
 
 def _json_int(digits: str) -> int:
@@ -306,11 +340,10 @@ def parse_scenario(text: str) -> Scenario:
         raw_policy = {}
     seen: dict[int, str] = {}
     for raw_key in sorted(raw_policy):
-        try:
-            step_key = int(raw_key)
-        except ValueError:
-            out.append(f"policy step {reprlib.repr(raw_key)} is not an integer")
+        if not re.fullmatch("[0-9]+", raw_key):
+            out.append(f"policy step {reprlib.repr(raw_key)} is not an integer in plain decimal digits")
             continue
+        step_key = int(raw_key)
         if step_key in seen:
             out.append(f"policy step {step_key} is given twice, as {seen[step_key]!r} and {raw_key!r}")
             continue
@@ -337,11 +370,11 @@ def parse_scenario(text: str) -> Scenario:
 def write_scenario(scenario: Scenario) -> str:
     doc = {
         "subsystems": list(scenario.subsystems.names),
-        "w0": list(scenario.w0.values),
-        "w1": list(scenario.w1.values),
-        "r1": [list(row) for row in scenario.r1.entries],
-        "u": "calibrate" if scenario.utility is None else [list(r) for r in scenario.utility.entries],
-        "policy": {str(k): list(scenario.policy[k].emphasis) for k in sorted(scenario.policy)},
+        "w0": scenario.w0.values.tolist(),
+        "w1": scenario.w1.values.tolist(),
+        "r1": scenario.r1.entries.tolist(),
+        "u": "calibrate" if scenario.utility is None else scenario.utility.entries.tolist(),
+        "policy": {str(k): scenario.policy[k].emphasis.tolist() for k in sorted(scenario.policy)},
         "options": {
             "clamp": scenario.options.clamp,
             "eps_delta": scenario.options.eps_delta,
@@ -349,7 +382,7 @@ def write_scenario(scenario: Scenario) -> str:
         },
         "horizon": scenario.horizon,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +446,16 @@ def _split_rows(text: str) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
+def _data_rows(lines: list[str]):
+    """The rows after the header, with their line numbers.  ``int`` and
+    ``float`` accept PEP 515 underscores (``1_0`` reads as 10), so a row
+    holding one is rejected; one test per line keeps cells on the fast path."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if "_" in line:
+            raise ParseError(f"line {lineno}: '_' is not allowed in a number")
+        yield lineno, line
+
+
 def parse_series(text: str, normalized: bool = True) -> SeriesTable:
     """Parse a ``t,S1,...,Sn[,IHDI]`` table.  When ``normalized`` the
     performance cells must lie in [0, 1]."""
@@ -432,7 +475,7 @@ def parse_series(text: str, normalized: bool = True) -> SeriesTable:
     timestamps: list[int] = []
     rows: list[list[float]] = []
     ihdi: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _data_rows(lines):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
@@ -481,12 +524,8 @@ def write_series(table: SeriesTable) -> str:
     header = "t," + ",".join(f"S{k + 1}" for k in range(n))
     if table.ihdi is not None:
         header += ",IHDI"
-    lines = [header]
-    for row, t in enumerate(table.timestamps):
-        cells = [str(t)] + [_fmt(v) for v in table.values[row]]
-        if table.ihdi is not None:
-            cells.append(_fmt(table.ihdi[row]))
-        lines.append(",".join(cells))
+    values = table.values if table.ihdi is None else np.column_stack([table.values, table.ihdi])
+    lines = [header] + [f"{t},{_cells(row)}" for t, row in zip(table.timestamps, values.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -497,9 +536,7 @@ def write_series(table: SeriesTable) -> str:
 def write_matrix(entries: np.ndarray) -> str:
     entries = np.asarray(entries, dtype=float)
     n = entries.shape[1]
-    lines = [",".join(f"S{k + 1}" for k in range(n))]
-    for row in entries:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(f"S{k + 1}" for k in range(n))] + [_cells(row) for row in entries.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -513,7 +550,7 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ParseError(f"missing or malformed matrix header, got {lines[0]!r}")
     n = len(header)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _data_rows(lines):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != n:
             raise ParseError(f"line {lineno}: expected {n} cells, got {len(cells)}")
@@ -542,12 +579,10 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
             + ","
             + ",".join(f"R{i + 1}{j + 1}" for i in range(n) for j in range(n))
         )
-        lines = [header]
-        for s in trace.steps:
-            cells = [str(s.timestamp)]
-            cells += [_fmt(v) for v in s.performance.values]
-            cells += [_fmt(v) for v in s.influence.entries.ravel()]
-            lines.append(",".join(cells))
+        lines = [header] + [
+            f"{s.timestamp},{_cells(s.performance.values.tolist() + s.influence.entries.ravel().tolist())}"
+            for s in trace.steps
+        ]
         return "\n".join(lines) + "\n"
     if format == "structured":
         doc = {
@@ -563,7 +598,7 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
                 for s in trace.steps
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _dumps(doc) + "\n"
     raise InputError(f"unknown trace format {format!r} (expected 'table' or 'structured')")
 
 
@@ -630,7 +665,7 @@ def _parse_trace_table(text: str) -> SimulationTrace:
     if n < 2 or header != expected:
         raise ParseError(f"missing or malformed trace header, got {lines[0]!r}")
     steps = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _data_rows(lines):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
@@ -651,9 +686,7 @@ def _parse_trace_table(text: str) -> SimulationTrace:
 # ---------------------------------------------------------------------------
 
 def write_qc_table(points: list[QualityPoint]) -> str:
-    lines = ["t,MEAN_W,IHDI,QC"]
-    for p in points:
-        lines.append(f"{p.timestamp},{_fmt(p.mean_w)},{_fmt(p.ihdi)},{_fmt(p.qc)}")
+    lines = ["t,MEAN_W,IHDI,QC"] + [f"{p.timestamp},{_cells((p.mean_w, p.ihdi, p.qc))}" for p in points]
     return "\n".join(lines) + "\n"
 
 
@@ -662,7 +695,7 @@ def parse_qc_table(text: str) -> list[QualityPoint]:
     if not lines or lines[0] != "t,MEAN_W,IHDI,QC":
         raise ParseError("missing or malformed quality table header")
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _data_rows(lines):
         cells = line.split(",")
         if len(cells) != 4:
             raise ParseError(f"line {lineno}: expected 4 cells, got {len(cells)}")
@@ -683,7 +716,7 @@ def write_ranking(ranking: InfluenceRanking) -> str:
         "loadings": list(ranking.loadings),
         "explained_variance_ratios": list(ranking.explained_variance),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def parse_ranking(text: str) -> InfluenceRanking:
@@ -716,8 +749,8 @@ def write_tune_result(result: TuneResult) -> str:
         "kind": "tune",
         "t_prev": result.r_prev.timestamp,
         "t_curr": result.r_curr.timestamp,
-        "r_prev": [list(row) for row in result.r_prev.entries],
-        "r_curr": [list(row) for row in result.r_curr.entries],
+        "r_prev": result.r_prev.entries.tolist(),
+        "r_curr": result.r_curr.entries.tolist(),
         "report": {
             "tol": result.report.tol,
             "residuals": list(result.report.residuals),
@@ -726,21 +759,24 @@ def write_tune_result(result: TuneResult) -> str:
             "notes": list(result.report.notes),
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def parse_tune_result(text: str) -> TuneResult:
     doc = _load_json(text, "tune", "tune")
     try:
+        raw = doc["report"]
+        if not all(map(_is_number, raw["residuals"])):
+            raise ValueError(f"residuals must be numbers, got {reprlib.repr(raw['residuals'])}")
         report = CalibrationReport(
-            tol=float(doc["report"]["tol"]),
-            residuals=tuple(doc["report"]["residuals"]),
-            sweeps=tuple(doc["report"]["sweeps"]),
-            notes=tuple(doc["report"]["notes"]),
+            tol=float(raw["tol"]),
+            residuals=tuple(raw["residuals"]),
+            sweeps=tuple(_integral(s, "tune report 'sweeps' item") for s in raw["sweeps"]),
+            notes=tuple(raw["notes"]),
         )
         return TuneResult(
-            InfluenceMatrix(doc["r_prev"], int(doc["t_prev"])),
-            InfluenceMatrix(doc["r_curr"], int(doc["t_curr"])),
+            InfluenceMatrix(doc["r_prev"], _integral(doc["t_prev"], "tune 't_prev'")),
+            InfluenceMatrix(doc["r_curr"], _integral(doc["t_curr"], "tune 't_curr'")),
             report,
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossimpact import (
@@ -40,6 +40,7 @@ from crossimpact import (
 )
 from crossimpact import SeriesTable, influence_ranking
 from crossimpact.cli import main
+from crossimpact.scenario_io import _dumps
 from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario
 
 
@@ -132,6 +133,11 @@ class TestParseScenario:
             (lambda d: d.update(extra=1), "unknown key"),
             (lambda d: d.update(u=[[0.2] * 4] * 5), "u has shape 5x4"),
             (lambda d: d.update(policy={"0": [0, 0, 0, 0, 0]}), "policy step 0 outside"),
+            # int() reads each of these keys as a step number
+            (lambda d: d.update(policy={"1_0": [0, 0, 0, 0, 0]}), "'1_0' is not"),
+            (lambda d: d.update(policy={" 2": [0, 0, 0, 0, 0]}), "' 2' is not"),
+            (lambda d: d.update(policy={"+1": [0, 0, 0, 0, 0]}), "'+1' is not"),
+            (lambda d: d.update(policy={"\u0661": [0, 0, 0, 0, 0]}), "'\u0661' is not"),
         ],
     )
     def test_every_violation_is_named(self, mutate, fragment):
@@ -533,6 +539,37 @@ class TestJsonReaders:
         err = capsys.readouterr().err
         assert "binary64" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "place, literal",
+        [
+            (lambda d, v: d.update(t_prev=v), "1e400"),
+            (lambda d, v: d.update(t_curr=v), "1e400"),
+            (lambda d, v: d["report"]["sweeps"].__setitem__(0, v), "1e400"),
+            (lambda d, v: d.update(t_prev=v), "2.9"),
+            (lambda d, v: d.update(t_curr=v), "2.9"),
+            (lambda d, v: d["report"]["sweeps"].__setitem__(0, v), "2.9"),
+            (lambda d, v: d.update(t_prev=v), "true"),
+            (lambda d, v: d.update(t_curr=v), "true"),
+            (lambda d, v: d["report"]["sweeps"].__setitem__(0, v), "true"),
+            (lambda d, v: d["report"]["residuals"].__setitem__(0, v), "true"),
+            (lambda d, v: d["report"]["residuals"].__setitem__(0, v), '"0.5"'),
+        ],
+        ids=[
+            "t_prev-1e400", "t_curr-1e400", "sweeps-1e400",
+            "t_prev-2.9", "t_curr-2.9", "sweeps-2.9",
+            "t_prev-true", "t_curr-true", "sweeps-true", "residual-true", "residual-str",
+        ],
+    )
+    def test_tune_fields_are_checked(self, place, literal):
+        # int() and float() read 2.9 as 2 and true as 1, and int(1e400) overflows
+        with pytest.raises(ParseError):
+            parse_tune_result(_with_literal(_tune_doc(), place, literal))
+
+    def test_tune_integral_floats_accepted(self):
+        doc = _tune_doc()
+        doc["t_prev"], doc["report"]["sweeps"][0] = 0.0, 1.0
+        assert parse_tune_result(json.dumps(doc)) == parse_tune_result(json.dumps(_tune_doc()))
+
     def test_kind_is_checked(self):
         doc = _tune_doc()
         doc["kind"] = "ranking"
@@ -540,3 +577,95 @@ class TestJsonReaders:
             parse_tune_result(json.dumps(doc))
         with pytest.raises(ParseError, match="JSON object"):
             parse_scenario("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (parse_series, "t,S1,S2\n1_0,0.5,0.4\n"),
+        (parse_series, "t,S1,S2\n0,0.1_0,0.4\n"),
+        (parse_series, "t,S1,S2,IHDI\n0,0.5,0.4,0.8_0\n"),
+        (parse_matrix, "S1,S2\n1,0_5\n0.5,1\n"),
+        (parse_trace, "t,W1,W2,R11,R12,R21,R22\n1_0,0.5,0.4,1,0.5,0.5,1\n"),
+        (parse_trace, "t,W1,W2,R11,R12,R21,R22\n1,0.5,0.4,1,0.5,0_5,1\n"),
+        (parse_qc_table, "t,MEAN_W,IHDI,QC\n1_0,0.5,0.8,0.625\n"),
+        (parse_qc_table, "t,MEAN_W,IHDI,QC\n1,0.5,0.8,0.6_25\n"),
+    ],
+    ids=["series-t", "series-cell", "series-ihdi", "matrix", "trace-t", "trace-cell", "qc-t", "qc-cell"],
+)
+def test_underscore_in_a_csv_row_is_a_parse_error(reader, text):
+    # int() and float() accept PEP 515 underscores: '1_0' would read as 10
+    with pytest.raises(ParseError, match="line 2: '_'"):
+        reader(text)
+
+
+class _TaggedFloat(float):
+    """The stdlib writes any float with ``float.__repr__``, ignoring a
+    subclass's own ``__repr__`` and ``__str__``."""
+
+    def __repr__(self):
+        return "tagged"
+
+    __str__ = __repr__
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1.7976931348623157e308,
+                  float("nan"), float("inf"), -float("inf")]
+JSON_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+
+
+@st.composite
+def float_matrices(draw):
+    """An n x n nested list of floats, n = 1..100, with special values
+    dropped into a few cells."""
+    n = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    for cell in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), JSON_FLOATS), max_size=4)):
+        grid[cell[:2]] = cell[2]
+    return grid.tolist()
+
+
+JSON_LEAVES = st.one_of(
+    JSON_FLOATS,
+    JSON_FLOATS.map(np.float64),
+    JSON_FLOATS.map(_TaggedFloat),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_LEAVES | float_matrices() | st.lists(JSON_FLOATS),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+def _wide_step() -> dict:
+    rng = np.random.default_rng(100)
+    return {
+        "t": 7,
+        "w": rng.random(100).tolist(),
+        "r": rng.random((100, 100)).tolist(),
+        "branches": {"one_zero": 12, "equal": 0, "ratio": 9888, "degenerate": 3},
+    }
+
+
+class TestJsonEmitter:
+    """``_dumps`` is specified by ``json.dumps(indent=2)``, byte for byte."""
+
+    @given(doc=JSON_DOCUMENTS)
+    @example(doc=_wide_step())
+    @example(doc=[0.5, 1, -0.0, True, None, 2.5, np.float64(0.1), "é"])
+    @example(doc={"a": [1.0, float("nan"), float("inf"), -float("inf")], "b": [[], {}], "": [[[-0.0]]]})
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_stdlib(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{1: 0.5}, {None: 0.5}, {True: 0.5}, {1.5: 0.5}, {"a": [{2: 1.0}]}])
+    def test_non_str_key_raises(self, doc):
+        with pytest.raises(TypeError):
+            _dumps(doc)
