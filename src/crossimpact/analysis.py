@@ -155,12 +155,14 @@ class InfluenceRanking:
         object.__setattr__(self, "order", tuple(int(k) for k in self.order))
         object.__setattr__(self, "loadings", tuple(float(v) for v in self.loadings))
         object.__setattr__(self, "explained_variance", tuple(float(v) for v in self.explained_variance))
+        if self.design not in OBSERVATION_DESIGNS:
+            raise DomainError(f"unknown observation design {self.design!r} (expected one of {OBSERVATION_DESIGNS})")
         if sorted(self.order) != list(range(len(self.order))):
             raise DomainError(f"ranking order must be a permutation of 0..n-1, got {self.order}")
         if len(self.order) != len(self.loadings):
             raise DomainError("ranking needs one loading per ordered subsystem")
-        if any(b > a for a, b in zip(self.loadings, self.loadings[1:])):
-            raise DomainError("ranking loadings must be non-increasing")
+        if not all(map(math.isfinite, self.loadings)) or any(b > a for a, b in zip(self.loadings, self.loadings[1:])):
+            raise DomainError("ranking loadings must be finite and non-increasing")
         if any(not (-1e-12 <= r <= 1.0 + 1e-12) for r in self.explained_variance):
             raise DomainError("explained-variance ratios must lie in [0, 1]")
         if abs(sum(self.explained_variance) - 1.0) > 1e-9:

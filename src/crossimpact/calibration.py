@@ -110,8 +110,10 @@ class CalibrationReport:
         object.__setattr__(self, "residuals", tuple(float(r) for r in self.residuals))
         object.__setattr__(self, "sweeps", tuple(int(s) for s in self.sweeps))
         object.__setattr__(self, "notes", tuple(self.notes))
-        if any(r < 0.0 for r in self.residuals):
-            raise DomainError("residuals must be non-negative")
+        if not (0.0 < self.tol < math.inf):
+            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        if not all(0.0 <= r < math.inf for r in self.residuals):
+            raise DomainError("residuals must be finite and non-negative")
 
     @property
     def converged(self) -> tuple[bool, ...]:

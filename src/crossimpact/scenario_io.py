@@ -5,16 +5,18 @@ consume them:
 
 * scenario — a JSON object (keys: ``subsystems``, ``w0``, ``w1``, ``r1``,
   ``u`` or ``"calibrate"``, ``policy``, ``options``, ``horizon``);
-* series — CSV with header ``t,S1,...,Sn[,IHDI]``;
+* series, matrix and quality table — CSV with headers ``t,S1,...,Sn[,IHDI]``,
+  ``S1,...,Sn`` and ``t,MEAN_W,IHDI,QC``;
 * trace — CSV with header ``t,W1..Wn,R11..Rnn`` (row-major strengths) or
   a self-describing JSON document that also carries branch diagnostics.
 
-CSV cells carry 17 significant digits; JSON documents carry the shortest
-``repr`` that reads back as the same float, as ``json.dumps`` writes it.
-Either way a written value parses back to the exact same binary64, so
-round trips are lossless.
-Scenario validation collects all violations before reporting, so authors
-can fix a document in one pass.
+One reader serves every CSV table: blank lines are skipped but counted,
+cells are finite ASCII decimal numbers (no ``_``), ``t`` is an integer,
+and each rejection is a ParseError naming the physical line.  CSV cells
+carry 17 significant digits; JSON documents carry the shortest ``repr``
+that reads back as the same float, as ``json.dumps`` writes it.  Either
+way round trips are lossless.  Scenario validation collects all
+violations before reporting, so authors can fix a document in one pass.
 """
 
 from __future__ import annotations
@@ -442,88 +444,96 @@ class SeriesTable:
         return self.ihdi is None or np.array_equal(self.ihdi, other.ihdi)
 
 
-def _split_rows(text: str) -> list[str]:
-    return [line for line in text.splitlines() if line.strip()]
+def _series_header(n: int, ihdi: bool) -> list[str]:
+    return ["t", *(f"S{k + 1}" for k in range(n)), *(["IHDI"] if ihdi else [])]
 
 
-def _data_rows(lines: list[str]):
-    """The rows after the header, with their line numbers.  ``int`` and
-    ``float`` accept PEP 515 underscores (``1_0`` reads as 10), so a row
-    holding one is rejected; one test per line keeps cells on the fast path."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        if "_" in line:
-            raise ParseError(f"line {lineno}: '_' is not allowed in a number")
-        yield lineno, line
+def _matrix_header(n: int) -> list[str]:
+    return [f"S{k + 1}" for k in range(n)]
+
+
+def _trace_header(n: int) -> list[str]:
+    return ["t", *(f"W{k + 1}" for k in range(n)), *(f"R{i + 1}{j + 1}" for i in range(n) for j in range(n))]
+
+
+def _qc_header() -> list[str]:
+    return ["t", "MEAN_W", "IHDI", "QC"]
+
+
+def _read_table(text: str, what: str, expected) -> tuple[list[str], np.ndarray, list[int]]:
+    """The one CSV reader: the header, the body as a rows x columns float
+    array, and each body row's physical line number.  Blank lines are
+    skipped but counted.  The header must equal ``expected(header)`` cell
+    by cell after stripping.  Every cell must be a finite number; a ``t``
+    column holds integers read by ``int`` (so ``1.0`` is an error) of
+    magnitude below 2**53, so each is exact as a binary64."""
+    lines = text.splitlines()
+    rows = [k for k, line in enumerate(lines, start=1) if line.strip()]
+    if not rows:
+        raise ParseError(f"{what} is empty: expected a header line")
+    first = rows.pop(0)
+    header = [cell.strip() for cell in lines[first - 1].split(",")]
+    wanted = expected(header)
+    if header != wanted:
+        raise ParseError(f"line {first}: {what} header {reprlib.repr(lines[first - 1])} is not {','.join(wanted)}")
+    if not rows:
+        raise ParseError(f"line {first}: {what} has a header but no data rows")
+    width, integral = len(header), header[0] == "t"
+    values: list[float] = []
+    try:
+        for k in rows:
+            line = lines[k - 1]
+            # int and float read PEP 515 underscores ('1_0' is 10) and any Unicode digit
+            if "_" in line or not line.isascii():
+                bad = "'_'" if "_" in line else "non-ASCII text"
+                raise ParseError(f"line {k}: {bad} is not allowed in a number")
+            row = line.split(",")
+            if len(row) != width:
+                raise ParseError(f"line {k}: expected {width} cells, got {len(row)}")
+            values += map(float, row)
+            if integral:
+                int(row[0])
+    except ValueError:
+        for column, cell in zip(header, row):
+            try:
+                (int if column == "t" else float)(cell)
+            except ValueError:
+                kind, cell = "non-integer" if column == "t" else "non-numeric", reprlib.repr(cell.strip())
+                raise ParseError(f"line {k}: {kind} cell {cell} in column {column}") from None
+    body = np.array(values).reshape(len(rows), width)
+    _refuse(~np.isfinite(body), body, header, rows, "is not a finite number")
+    if integral:
+        _refuse(np.abs(body[:, :1]) >= 2.0**53, body, header, rows, "is not within (-2**53, 2**53)")
+    return header, body, rows
+
+
+def _refuse(mask: np.ndarray, values: np.ndarray, names: list[str], rows: list[int], rule: str) -> None:
+    """Reject a table at the first cell where ``mask`` holds.  ``mask`` and
+    ``values`` have one row per line number in ``rows`` and one column per
+    name in ``names``."""
+    if mask.any():
+        i, j = np.argwhere(mask)[0]
+        value = repr(float(values[i, j])).removesuffix(".0")
+        raise ParseError(f"line {rows[i]}: {names[j]} = {value} {rule}")
 
 
 def parse_series(text: str, normalized: bool = True) -> SeriesTable:
-    """Parse a ``t,S1,...,Sn[,IHDI]`` table.  When ``normalized`` the
-    performance cells must lie in [0, 1]."""
-    lines = _split_rows(text)
-    if not lines:
-        raise ParseError("series is empty: expected a header t,S1,...,Sn[,IHDI]")
-    header = [h.strip() for h in lines[0].split(",")]
-    has_ihdi = bool(header) and header[-1] == "IHDI"
-    subsystem_headers = header[1:-1] if has_ihdi else header[1:]
-    expected = [f"S{k + 1}" for k in range(len(subsystem_headers))]
-    if not header or header[0] != "t" or subsystem_headers != expected or not subsystem_headers:
-        raise ParseError(
-            "missing or malformed header: expected t,S1,...,Sn with an optional "
-            f"trailing IHDI column, got {lines[0]!r}"
-        )
-    n = len(subsystem_headers)
-    timestamps: list[int] = []
-    rows: list[list[float]] = []
-    ihdi: list[float] = []
-    for lineno, line in _data_rows(lines):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        try:
-            t = int(cells[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric cell {cells[0]!r} in column t") from None
-        if timestamps and t <= timestamps[-1]:
-            raise ParseError(
-                f"line {lineno}: non-monotone t ({timestamps[-1]} then {t}); "
-                "timestamps must strictly increase"
-            )
-        values = []
-        for k, cell in enumerate(cells[1 : n + 1]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric cell {cell!r} in column S{k + 1}") from None
-            if not math.isfinite(v):
-                raise ParseError(f"line {lineno}: non-finite value in column S{k + 1}")
-            if normalized and not (0.0 <= v <= 1.0):
-                raise ParseError(f"line {lineno}: S{k + 1} = {cell} outside [0, 1]")
-            values.append(v)
-        if has_ihdi:
-            cell = cells[-1]
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric cell {cell!r} in column IHDI") from None
-            if not math.isfinite(v) or not (0.0 < v <= 1.0):
-                raise ParseError(f"line {lineno}: IHDI = {cell} outside (0, 1]")
-            ihdi.append(v)
-        timestamps.append(t)
-        rows.append(values)
-    if not rows:
-        raise ParseError("series has a header but no data rows")
-    return SeriesTable(
-        tuple(timestamps),
-        np.array(rows, dtype=float),
-        np.array(ihdi, dtype=float) if has_ihdi else None,
+    """Parse a ``t,S1,...,Sn[,IHDI]`` table (at least one subsystem).  When
+    ``normalized`` the performance cells must lie in [0, 1]."""
+    header, body, rows = _read_table(
+        text, "series", lambda h: _series_header(max(len(h) - 1 - (h[-1] == "IHDI"), 1), h[-1] == "IHDI")
     )
+    t, n = body[:, :1], len(header) - 1 - (header[-1] == "IHDI")
+    _refuse(t[1:] <= t[:-1], t[1:], ["t"], rows[1:], "is non-monotone: timestamps must strictly increase")
+    values, ihdi = body[:, 1 : n + 1], body[:, n + 1 :]
+    if normalized:
+        _refuse((values < 0.0) | (values > 1.0), values, header[1:], rows, "is outside [0, 1]")
+    _refuse((ihdi <= 0.0) | (ihdi > 1.0), ihdi, ["IHDI"], rows, "is outside (0, 1]")
+    return SeriesTable(t[:, 0].tolist(), values, ihdi[:, 0] if ihdi.size else None)
 
 
 def write_series(table: SeriesTable) -> str:
-    n = table.size
-    header = "t," + ",".join(f"S{k + 1}" for k in range(n))
-    if table.ihdi is not None:
-        header += ",IHDI"
+    header = ",".join(_series_header(table.size, table.ihdi is not None))
     values = table.values if table.ihdi is None else np.column_stack([table.values, table.ihdi])
     lines = [header] + [f"{t},{_cells(row)}" for t, row in zip(table.timestamps, values.tolist())]
     return "\n".join(lines) + "\n"
@@ -535,32 +545,16 @@ def write_series(table: SeriesTable) -> str:
 
 def write_matrix(entries: np.ndarray) -> str:
     entries = np.asarray(entries, dtype=float)
-    n = entries.shape[1]
-    lines = [",".join(f"S{k + 1}" for k in range(n))] + [_cells(row) for row in entries.tolist()]
+    lines = [",".join(_matrix_header(entries.shape[1]))] + [_cells(row) for row in entries.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    lines = _split_rows(text)
-    if not lines:
-        raise ParseError("matrix is empty: expected a header S1,...,Sn")
-    header = [h.strip() for h in lines[0].split(",")]
-    expected = [f"S{k + 1}" for k in range(len(header))]
-    if header != expected:
-        raise ParseError(f"missing or malformed matrix header, got {lines[0]!r}")
-    n = len(header)
-    rows = []
-    for lineno, line in _data_rows(lines):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != n:
-            raise ParseError(f"line {lineno}: expected {n} cells, got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric cell") from None
-    if len(rows) != n:
-        raise ParseError(f"matrix must be square: header names {n} columns but found {len(rows)} rows")
-    return np.array(rows, dtype=float)
+    header, body, rows = _read_table(text, "matrix", lambda h: _matrix_header(len(h)))
+    if len(rows) != len(header):
+        line = rows[min(len(header), len(rows) - 1)]
+        raise ParseError(f"line {line}: matrix must be square: {len(header)} columns but {len(rows)} rows")
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +567,7 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
     document that also carries per-branch update counts."""
     n = trace.size
     if format == "table":
-        header = (
-            "t,"
-            + ",".join(f"W{k + 1}" for k in range(n))
-            + ","
-            + ",".join(f"R{i + 1}{j + 1}" for i in range(n) for j in range(n))
-        )
-        lines = [header] + [
+        lines = [",".join(_trace_header(n))] + [
             f"{s.timestamp},{_cells(s.performance.values.tolist() + s.influence.entries.ravel().tolist())}"
             for s in trace.steps
         ]
@@ -652,33 +640,17 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
 
 
 def _parse_trace_table(text: str) -> SimulationTrace:
-    lines = _split_rows(text)
-    if not lines:
-        raise ParseError("trace is empty: expected a header t,W1..Wn,R11..Rnn")
-    header = [h.strip() for h in lines[0].split(",")]
-    n = sum(1 for h in header if h.startswith("W"))
-    expected = (
-        ["t"]
-        + [f"W{k + 1}" for k in range(n)]
-        + [f"R{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    )
-    if n < 2 or header != expected:
-        raise ParseError(f"missing or malformed trace header, got {lines[0]!r}")
-    steps = []
-    for lineno, line in _data_rows(lines):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        try:
-            t = int(cells[0])
-            w = [float(c) for c in cells[1 : n + 1]]
-            r = np.array([float(c) for c in cells[n + 1 :]], dtype=float).reshape(n, n)
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric cell") from None
-        steps.append(TraceStep(t, PerformanceVector(w, t), InfluenceMatrix(r, t), BranchCounts()))
-    if not steps:
-        raise ParseError("trace has a header but no data rows")
-    return SimulationTrace(tuple(steps))
+    # at least two subsystems, as an influence matrix needs
+    header, body, rows = _read_table(text, "trace", lambda h: _trace_header(max(2, sum(c[:1] == "W" for c in h))))
+    n = sum(c[:1] == "W" for c in header)
+    t, r, diagonal = body[:, :1], body[:, n + 1 :], body[:, n + 1 :: n + 1]
+    _refuse(t[1:] != t[:-1] + 1.0, t[1:], ["t"], rows[1:], "does not follow the previous t by 1")
+    _refuse(diagonal != 1.0, diagonal, header[n + 1 :: n + 1], rows, "but the diagonal must be exactly 1")
+    _refuse(r < 0.0, r, header[n + 1 :], rows, "is negative")
+    return SimulationTrace(tuple(
+        TraceStep(k, PerformanceVector(w, k), InfluenceMatrix(m.reshape(n, n), k), BranchCounts())
+        for k, w, m in zip(t[:, 0].astype(int).tolist(), body[:, 1 : n + 1], r)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -686,25 +658,18 @@ def _parse_trace_table(text: str) -> SimulationTrace:
 # ---------------------------------------------------------------------------
 
 def write_qc_table(points: list[QualityPoint]) -> str:
-    lines = ["t,MEAN_W,IHDI,QC"] + [f"{p.timestamp},{_cells((p.mean_w, p.ihdi, p.qc))}" for p in points]
+    lines = [",".join(_qc_header())] + [f"{p.timestamp},{_cells((p.mean_w, p.ihdi, p.qc))}" for p in points]
     return "\n".join(lines) + "\n"
 
 
 def parse_qc_table(text: str) -> list[QualityPoint]:
-    lines = _split_rows(text)
-    if not lines or lines[0] != "t,MEAN_W,IHDI,QC":
-        raise ParseError("missing or malformed quality table header")
+    _, body, rows = _read_table(text, "quality table", lambda h: _qc_header())
     points = []
-    for lineno, line in _data_rows(lines):
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise ParseError(f"line {lineno}: expected 4 cells, got {len(cells)}")
+    for lineno, (t, mean_w, ihdi, qc) in zip(rows, body.tolist()):
         try:
-            points.append(
-                QualityPoint(int(cells[0]), float(cells[2]), float(cells[1]), float(cells[3]))
-            )
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric cell") from None
+            points.append(QualityPoint(int(t), ihdi, mean_w, qc))
+        except DomainError as e:
+            raise ParseError(f"line {lineno}: {e}") from None
     return points
 
 
@@ -766,8 +731,8 @@ def parse_tune_result(text: str) -> TuneResult:
     doc = _load_json(text, "tune", "tune")
     try:
         raw = doc["report"]
-        if not all(map(_is_number, raw["residuals"])):
-            raise ValueError(f"residuals must be numbers, got {reprlib.repr(raw['residuals'])}")
+        if not all(map(_is_number, [raw["tol"], *raw["residuals"]])):
+            raise ValueError(f"tol and residuals must be numbers, got {reprlib.repr(raw)}")
         report = CalibrationReport(
             tol=float(raw["tol"]),
             residuals=tuple(raw["residuals"]),
@@ -779,5 +744,5 @@ def parse_tune_result(text: str) -> TuneResult:
             InfluenceMatrix(doc["r_curr"], _integral(doc["t_curr"], "tune 't_curr'")),
             report,
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, DomainError) as e:
         raise ParseError(f"malformed tune document: {e}") from e

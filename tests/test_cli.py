@@ -145,6 +145,16 @@ class TestTuneCommand:
         result = parse_tune_result(out.out)
         assert not result.report.all_converged
 
+    def test_overflowing_residual_exits_one(self, tmp_path, capsys):
+        # the strength-weighted sums overflow to inf; the report refuses an
+        # infinite residual rather than writing a non-standard 'Infinity'
+        (tmp_path / "series.csv").write_text("t,S1,S2,S3\n0,0.5,0.4,0.3\n1,0.6,0.3,0.2\n")
+        (tmp_path / "u.csv").write_text(write_matrix(np.full((3, 3), 1.7e308)))
+        argv = ["tune", "--series", str(tmp_path / "series.csv"), "--u", str(tmp_path / "u.csv")]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "residuals must be finite" in out.err
+
     def test_negative_tol_exits_one(self, quality_series_file, capsys):
         assert main(["tune", "--series", quality_series_file, "--tol", "-1"]) == 1
         assert "tol" in capsys.readouterr().err

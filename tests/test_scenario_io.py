@@ -1,6 +1,7 @@
 """Parsing, validation aggregation and lossless round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -565,6 +566,55 @@ class TestJsonReaders:
         with pytest.raises(ParseError):
             parse_tune_result(_with_literal(_tune_doc(), place, literal))
 
+    @pytest.mark.parametrize(
+        "place, literal",
+        [
+            (lambda d, v: d["report"].update(tol=v), "true"),
+            (lambda d, v: d["report"].update(tol=v), '"1e-6"'),
+            (lambda d, v: d["report"].update(tol=v), "0"),
+            (lambda d, v: d["report"].update(tol=v), "-1e-6"),
+            (lambda d, v: d["report"].update(tol=v), "NaN"),
+            (lambda d, v: d["report"].update(tol=v), "Infinity"),
+            (lambda d, v: d["report"]["residuals"].__setitem__(0, v), "NaN"),
+            (lambda d, v: d["report"]["residuals"].__setitem__(0, v), "Infinity"),
+        ],
+        ids=["tol-true", "tol-str", "tol-zero", "tol-negative", "tol-nan", "tol-inf", "residual-nan", "residual-inf"],
+    )
+    def test_tune_tol_and_residuals_are_finite_numbers(self, place, literal):
+        with pytest.raises(ParseError):
+            parse_tune_result(_with_literal(_tune_doc(), place, literal))
+
+    @pytest.mark.parametrize(
+        "tol, residual", [(0.0, 0.0), (-1e-6, 0.0), (float("inf"), 0.0), (float("nan"), 0.0),
+                          (1e-6, float("nan")), (1e-6, float("inf")), (1e-6, -1.0)]
+    )
+    def test_calibration_report_invariants(self, tol, residual):
+        with pytest.raises(DomainError):
+            CalibrationReport(tol, (0.0, residual), (1, 1))
+
+    @pytest.mark.parametrize(
+        "place, literal",
+        [
+            (lambda d, v: d.update(loadings=[v] * len(d["loadings"])), "NaN"),
+            (lambda d, v: d["loadings"].__setitem__(0, v), "Infinity"),
+            (lambda d, v: d.update(design=v), "5"),
+            (lambda d, v: d.update(design=v), '"rows"'),
+        ],
+        ids=["nan-loadings", "inf-loading", "design-int", "design-unknown"],
+    )
+    def test_ranking_loadings_and_design_are_checked(self, place, literal):
+        with pytest.raises(ParseError):
+            parse_ranking(_with_literal(_ranking_doc(), place, literal))
+
+    @pytest.mark.parametrize(
+        "design, loadings",
+        [("column-sums", (float("nan"),) * 3), ("column-sums", (float("inf"), 0.5, 0.4)), (5, (0.6, 0.5, 0.4))],
+        ids=["nan", "inf", "design"],
+    )
+    def test_ranking_invariants(self, design, loadings):
+        with pytest.raises(DomainError):
+            InfluenceRanking(design, (0, 1, 2), loadings, (0.7, 0.2, 0.1))
+
     def test_tune_integral_floats_accepted(self):
         doc = _tune_doc()
         doc["t_prev"], doc["report"]["sweeps"][0] = 0.0, 1.0
@@ -597,6 +647,118 @@ def test_underscore_in_a_csv_row_is_a_parse_error(reader, text):
     # int() and float() accept PEP 515 underscores: '1_0' would read as 10
     with pytest.raises(ParseError, match="line 2: '_'"):
         reader(text)
+
+
+TRACE_HEADER = "t,W1,W2,R11,R12,R21,R22\n"
+
+
+class TestCsvReader:
+    """The one reader behind ``parse_series``, ``parse_matrix``, table
+    traces and ``parse_qc_table``: errors name physical lines and columns."""
+
+    @pytest.mark.parametrize(
+        "reader, text, where",
+        [
+            (parse_series, "t,S1,S2\n\n\n0,0.5,x\n", "line 4: non-numeric cell 'x' in column S2"),
+            (parse_series, "\nt,S1,S2\n0,0.5,0.4\n  \n1,0.5,0.4\n1,0.5,0.4\n", "line 6: t = 1 is non-monotone"),
+            (parse_matrix, "S1,S2\n\n1,x\n0.5,1\n", "line 3: non-numeric cell 'x' in column S2"),
+            (parse_trace, TRACE_HEADER + "\n1,0.5,0.4,1,0.5,0.5,x\n", "line 3: non-numeric cell 'x' in column R22"),
+            (parse_qc_table, "t,MEAN_W,IHDI,QC\n\n1,0.5,x,0.625\n", "line 3: non-numeric cell 'x' in column IHDI"),
+        ],
+        ids=["series", "series-monotone", "matrix", "trace", "qc"],
+    )
+    def test_blank_lines_are_counted(self, reader, text, where):
+        with pytest.raises(ParseError, match=re.escape(where)):
+            reader(text)
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (parse_series, "t,S1,S2\n\u0661,0.\u0665,\uff10.5\n"),
+            (parse_series, "t,S1,S2\n1,0.5,\uff10.5\n"),
+            (parse_matrix, "S1,S2\n\u0661,1\n0.5,1\n"),
+            (parse_trace, TRACE_HEADER + "\u0661,0.5,0.4,1,0.5,0.5,1\n"),
+            (parse_qc_table, "t,MEAN_W,IHDI,QC\n1,0.5,0.8,0.6\u0662\u0665\n"),
+        ],
+        ids=["series-t", "series-cell", "matrix", "trace", "qc"],
+    )
+    def test_non_ascii_digits_are_a_parse_error(self, reader, text):
+        # int() and float() read any Unicode decimal digit: '\u0661' is 1
+        with pytest.raises(ParseError, match="line 2: non-ASCII"):
+            reader(text)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_matrix_cells_must_be_finite(self, cell):
+        with pytest.raises(ParseError, match="line 3: S1 = .* is not a finite number"):
+            parse_matrix(f"S1,S2\n1,0.5\n{cell},1\n")
+
+    @pytest.mark.parametrize("rows", ["1,0.5\n", "1,0.5\n0.5,1\n0.5,1\n"], ids=["short", "long"])
+    def test_matrix_must_be_square(self, rows):
+        with pytest.raises(ParseError, match=r"line \d+: matrix must be square"):
+            parse_matrix("S1,S2\n" + rows)
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ("1,0.5,0.4,1,0.5,0.5,1\n2,0.5,nan,1,0.5,0.5,1\n", "line 3: W2 = nan"),
+            ("1,0.5,0.4,1,0.5,0.5,1e400\n", "line 2: R22 = inf"),
+            ("1,0.5,0.4,1,0.5,0.5,1\n2,0.5,0.4,1,0.5,0.5,0.9\n", "line 3: R22 = 0.9 but the diagonal"),
+            ("1,0.5,0.4,1,-0.5,0.5,1\n", "line 2: R12 = -0.5 is negative"),
+            ("1,0.5,0.4,1,0.5,0.5,1\n3,0.5,0.4,1,0.5,0.5,1\n", "line 3: t = 3 does not follow"),
+            ("2,0.5,0.4,1,0.5,0.5,1\n1,0.5,0.4,1,0.5,0.5,1\n", "line 3: t = 1 does not follow"),
+        ],
+        ids=["nan", "1e400", "diagonal", "negative", "gap", "backwards"],
+    )
+    def test_trace_table_rules_name_the_line(self, rows, where, tmp_path, capsys):
+        text = TRACE_HEADER + rows
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_trace(text)
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        assert main(["rank", "--trace", str(path)]) == 1
+        assert where in capsys.readouterr().err
+
+    def test_quality_row_must_be_consistent(self):
+        with pytest.raises(ParseError, match="line 3: inconsistent quality point"):
+            parse_qc_table("t,MEAN_W,IHDI,QC\n1,0.5,0.8,0.625\n2,0.5,0.8,0.9\n")
+
+    def test_quality_header_is_compared_after_stripping(self):
+        points = [QualityPoint(1, 0.8, 0.5, 0.625)]
+        assert parse_qc_table(" t , MEAN_W ,IHDI,QC \n1,0.5,0.8,0.625\n") == points
+        with pytest.raises(ParseError, match="line 1: quality table header"):
+            parse_qc_table("t,IHDI,MEAN_W,QC\n1,0.8,0.5,0.625\n")
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ("1.0", "non-integer cell '1.0' in column t"),
+            ("1e3", "non-integer cell '1e3' in column t"),
+            ("1" * 400, "t = inf is not a finite number"),
+            (str(2**53 + 1), "is not within (-2**53, 2**53)"),
+            (str(-(2**53)), "is not within (-2**53, 2**53)"),
+        ],
+        ids=["decimal-point", "exponent", "400-digit", "2**53+1", "-2**53"],
+    )
+    def test_t_is_an_exact_integer(self, t, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_series(f"t,S1,S2\n{t},0.5,0.4\n")
+        assert parse_series(f"t,S1,S2\n{2**53 - 1},0.5,0.4\n").timestamps == (2**53 - 1,)
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (parse_series, ""),
+            (parse_series, "t,S1,S2\n"),
+            (parse_series, "t,IHDI\n1,0.5\n"),
+            (parse_matrix, "\n\n"),
+            (parse_trace, "t,W1,R11\n1,0.5,1\n"),
+            (parse_qc_table, "t,MEAN_W,IHDI\n1,0.5,0.8\n"),
+        ],
+        ids=["series-empty", "series-no-rows", "series-no-subsystem", "matrix-blank", "trace-one-subsystem", "qc"],
+    )
+    def test_header_and_rows_required(self, reader, text):
+        with pytest.raises(ParseError, match="empty|header"):
+            reader(text)
 
 
 class _TaggedFloat(float):
