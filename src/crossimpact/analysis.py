@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import CrossImpactError, DegenerateRankingError, DomainError, InputError
+from .errors import CrossImpactError, DegenerateRankingError, DomainError, InputError, ShapeError
 from .model import InfluenceMatrix, PerformanceVector, SimulationTrace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .scenario_io import SeriesTable
 
 SATISFIABLE_FLOOR = 0.9
 QC_IDENTITY_RTOL = 1e-12
@@ -52,21 +55,45 @@ class QualityPoint:
             )
 
 
-def quality_coefficient(performance: PerformanceVector, ihdi: float) -> QualityPoint:
+def quality_coefficient(
+    performance: PerformanceVector | SeriesTable, ihdi: float | np.ndarray
+) -> QualityPoint | list[QualityPoint]:
     """Ratio of mean subsystem performance to the composite index.
 
-    The index must be positive; indices are defined on [0, 1], so values
-    above 1 are computed but flagged with a warning.
+    A ``PerformanceVector`` with one index value gives one point; a
+    ``SeriesTable`` with one index value per row (its IHDI column) gives
+    one point per row, from a single pass over the whole table.  Every
+    index must be positive and finite; indices are defined on [0, 1], so
+    values above 1 are computed but flagged with one warning.
     """
-    if not math.isfinite(ihdi) or ihdi <= 0.0:
-        raise DomainError(f"index value must be positive and finite, got {ihdi}")
-    if ihdi > 1.0:
+    single = isinstance(performance, PerformanceVector)
+    if single:
+        timestamps, values = (performance.timestamp,), performance.values[np.newaxis]
+    else:
+        timestamps, values = performance.timestamps, performance.values
+    index = np.array(ihdi, dtype=float, ndmin=1)
+    if index.shape != (len(timestamps),):
+        raise ShapeError(f"quality audit needs one index value per row: {len(timestamps)} rows, {index.size} values")
+    bad = ~(np.isfinite(index) & (index > 0.0))
+    if bad.any():
+        raise DomainError(f"index value must be positive and finite, got {index[bad.argmax()]}")
+    above = index > 1.0
+    if above.any():
         warnings.warn(
-            f"index value {ihdi} exceeds 1; composite indices are defined on [0, 1]",
+            f"index value {index[above.argmax()]} exceeds 1; composite indices are defined on [0, 1]",
             stacklevel=2,
         )
-    mean_w = float(np.mean(performance.values))
-    return QualityPoint(performance.timestamp, float(ihdi), mean_w, mean_w / float(ihdi))
+    mean_w = values.mean(axis=1)
+    with np.errstate(over="ignore"):
+        qc = mean_w / index
+    overflow = np.isinf(qc)
+    if overflow.any():
+        k = overflow.argmax()
+        raise DomainError(f"quality coefficient overflows: mean performance {mean_w[k]} over index value {index[k]}")
+    points = [
+        QualityPoint(t, i, m, q) for t, i, m, q in zip(timestamps, index.tolist(), mean_w.tolist(), qc.tolist())
+    ]
+    return points[0] if single else points
 
 
 @dataclass(frozen=True)
@@ -84,8 +111,11 @@ def trend(series: list[QualityPoint], slope_eps: float = 1e-3) -> TrendReport:
 
     Satisfiable means every point in the window is at or above the 0.9
     floor and the trend is not decreasing.  ``slope_eps`` is the dead
-    band around zero slope that still counts as stationary.
+    band around zero slope that still counts as stationary; it must be a
+    finite number >= 0.
     """
+    if not (math.isfinite(slope_eps) and slope_eps >= 0.0):
+        raise DomainError(f"slope_eps must be a finite number >= 0, got {slope_eps}")
     points = tuple(series)
     if len(points) < 2:
         raise InputError(f"trend needs at least 2 points, got {len(points)}")

@@ -144,19 +144,13 @@ def cmd_tune(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    if args.slope_eps < 0.0:
-        _note(f"error: --slope-eps must be >= 0, got {args.slope_eps}")
-        return EXIT_INPUT
     series = parse_series(_read(args.series))
     if series.ihdi is None:
         raise InputError(
             "series lacks the IHDI column; quality auditing needs the index "
             "(header t,S1,...,Sn,IHDI)"
         )
-    points = [
-        quality_coefficient(series.performance_at(k), float(series.ihdi[k]))
-        for k in range(len(series))
-    ]
+    points = quality_coefficient(series, series.ihdi)
     report = trend(points, args.slope_eps)
     _emit(write_qc_table(points), args.out)
     _note(

@@ -10,13 +10,14 @@ consume them:
 * trace — CSV with header ``t,W1..Wn,R11..Rnn`` (row-major strengths) or
   a self-describing JSON document that also carries branch diagnostics.
 
-One reader serves every CSV table: blank lines are skipped but counted,
-cells are finite ASCII decimal numbers (no ``_``), ``t`` is an integer,
-and each rejection is a ParseError naming the physical line.  CSV cells
-carry 17 significant digits; JSON documents carry the shortest ``repr``
-that reads back as the same float, as ``json.dumps`` writes it.  Either
-way round trips are lossless.  Scenario validation collects all
-violations before reporting, so authors can fix a document in one pass.
+One reader serves every CSV table: only ``\n`` ends a line, blank lines
+are skipped but counted, cells are finite ASCII decimal numbers (no
+``_``), ``t`` is an integer, and each rejection is a ParseError naming
+the physical line.  CSV cells carry 17 significant digits; JSON documents
+carry the shortest ``repr`` that reads back as the same float, as
+``json.dumps`` writes it.  Either way round trips are lossless.  Scenario
+validation collects all violations before reporting, so authors can fix
+a document in one pass.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import re
 import reprlib
+import string
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 
@@ -462,19 +464,21 @@ def _qc_header() -> list[str]:
 
 def _read_table(text: str, what: str, expected) -> tuple[list[str], np.ndarray, list[int]]:
     """The one CSV reader: the header, the body as a rows x columns float
-    array, and each body row's physical line number.  Blank lines are
-    skipped but counted.  The header must equal ``expected(header)`` cell
-    by cell after stripping.  Every cell must be a finite number; a ``t``
-    column holds integers read by ``int`` (so ``1.0`` is an error) of
-    magnitude below 2**53, so each is exact as a binary64."""
-    lines = text.splitlines()
+    array, and each body row's physical line number.  Only ``\\n`` ends a
+    line, and one ``\\r`` before it is dropped; any other control character
+    stays inside its cell.  Blank lines are skipped but counted.  The
+    header must equal ``expected(header)`` cell by cell after stripping.
+    Every cell must be a finite number; a ``t`` column holds integers read
+    by ``int`` (so ``1.0`` is an error) of magnitude below 2**53, so each
+    is exact as a binary64."""
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
     rows = [k for k, line in enumerate(lines, start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{what} is empty: expected a header line")
     first = rows.pop(0)
     header = [cell.strip() for cell in lines[first - 1].split(",")]
     wanted = expected(header)
-    if header != wanted:
+    if header != wanted or not lines[first - 1].isascii():
         raise ParseError(f"line {first}: {what} header {reprlib.repr(lines[first - 1])} is not {','.join(wanted)}")
     if not rows:
         raise ParseError(f"line {first}: {what} has a header but no data rows")
@@ -498,7 +502,8 @@ def _read_table(text: str, what: str, expected) -> tuple[list[str], np.ndarray, 
             try:
                 (int if column == "t" else float)(cell)
             except ValueError:
-                kind, cell = "non-integer" if column == "t" else "non-numeric", reprlib.repr(cell.strip())
+                kind = "non-integer" if column == "t" else "non-numeric"
+                cell = reprlib.repr(cell.strip(string.whitespace))  # the whitespace int and float skip
                 raise ParseError(f"line {k}: {kind} cell {cell} in column {column}") from None
     body = np.array(values).reshape(len(rows), width)
     _refuse(~np.isfinite(body), body, header, rows, "is not a finite number")
@@ -690,6 +695,8 @@ def parse_ranking(text: str) -> InfluenceRanking:
         labels = [re.fullmatch(r"S([1-9][0-9]*)", label) for label in doc["order"]]
         if not all(labels):
             raise ValueError(f"order labels must be S<k> with k >= 1, got {doc['order']}")
+        if not all(map(_is_number, [*doc["loadings"], *doc["explained_variance_ratios"]])):
+            raise ValueError("loadings and explained_variance_ratios must be numbers")
         return InfluenceRanking(
             design=doc["design"],
             order=tuple(int(m.group(1)) - 1 for m in labels),
@@ -733,6 +740,8 @@ def parse_tune_result(text: str) -> TuneResult:
         raw = doc["report"]
         if not all(map(_is_number, [raw["tol"], *raw["residuals"]])):
             raise ValueError(f"tol and residuals must be numbers, got {reprlib.repr(raw)}")
+        if not isinstance(raw["notes"], list) or not all(isinstance(note, str) for note in raw["notes"]):
+            raise ValueError(f"notes must be a list of strings, got {reprlib.repr(raw['notes'])}")
         report = CalibrationReport(
             tol=float(raw["tol"]),
             residuals=tuple(raw["residuals"]),
@@ -744,5 +753,5 @@ def parse_tune_result(text: str) -> TuneResult:
             InfluenceMatrix(doc["r_curr"], _integral(doc["t_curr"], "tune 't_curr'")),
             report,
         )
-    except (KeyError, TypeError, ValueError, DomainError) as e:
+    except (KeyError, TypeError, ValueError, DomainError, ShapeError) as e:
         raise ParseError(f"malformed tune document: {e}") from e

@@ -1,9 +1,13 @@
 """Quality coefficient, trend classification, eigendecomposition and ranking."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crossimpact import (
     BranchCounts,
@@ -14,6 +18,8 @@ from crossimpact import (
     InputError,
     PerformanceVector,
     QualityPoint,
+    SeriesTable,
+    ShapeError,
     SimulationTrace,
     TraceStep,
     influence_centrality,
@@ -64,6 +70,90 @@ class TestQualityCoefficient:
         assert abs(point.qc * point.ihdi - point.mean_w) <= 1e-12 * scale
 
 
+def _oracle(series: SeriesTable) -> list[QualityPoint]:
+    """The per-row rule the series form replaces: one ``np.mean`` per row."""
+    points = []
+    for k, t in enumerate(series.timestamps):
+        mean_w = float(np.mean(series.values[k]))
+        points.append(QualityPoint(t, float(series.ihdi[k]), mean_w, mean_w / float(series.ihdi[k])))
+    return points
+
+
+ROW_WIDTHS = [1, 2, 3, 5, 7, 8, 9, 16, 25, 33, 100, 257]
+
+
+@st.composite
+def audited_series(draw) -> SeriesTable:
+    rows, n = draw(st.integers(1, 12)), draw(st.sampled_from(ROW_WIDTHS))
+    t0 = draw(st.integers(-(10**6), 10**6))
+    values = draw(arrays(float, (rows, n), elements=st.floats(0.0, 1.0)))
+    ihdi = draw(st.lists(st.floats(1e-300, 1.0), min_size=rows, max_size=rows))
+    return SeriesTable(range(t0, t0 + rows), values, ihdi)
+
+
+class TestSeriesQualityCoefficient:
+    """The series form computes every row's mean in one ``mean(axis=1)``
+    pass; the per-row ``np.mean`` rule is its oracle."""
+
+    @pytest.mark.parametrize("n", ROW_WIDTHS)
+    def test_row_means_equal_per_row_means_bit_for_bit(self, n):
+        # numpy sums each row pairwise in blocks of 8; a reduction that
+        # summed in another order would round differently from n = 8 up
+        values = np.random.default_rng(n).uniform(0.0, 1.0, size=(500, n))
+        oracle = np.array([float(np.mean(row)) for row in values])
+        assert values.mean(axis=1).tobytes() == oracle.tobytes()
+
+    @given(series=audited_series())
+    @settings(max_examples=150, deadline=None)
+    def test_both_forms_match_the_per_row_oracle(self, series):
+        points = quality_coefficient(series, series.ihdi)
+        assert points == _oracle(series)
+        assert [quality_coefficient(series.performance_at(k), ihdi) for k, ihdi in enumerate(series.ihdi)] == points
+
+    def test_vector_form_gives_one_point_and_series_form_a_list(self):
+        series = SeriesTable([4, 7], [[0.5, 0.7], [0.25, 0.75]], [0.8, 0.5])
+        assert quality_coefficient(series.performance_at(1), 0.5) == QualityPoint(7, 0.5, 0.5, 1.0)
+        points = quality_coefficient(series, series.ihdi)
+        assert isinstance(points, list) and points == _oracle(series)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -0.2, float("nan"), float("inf"), float("-inf")])
+    def test_bad_index_names_the_first_bad_value(self, bad):
+        series = SeriesTable([0, 1, 2, 3], np.full((4, 3), 0.5))
+        message = f"index value must be positive and finite, got {bad}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            quality_coefficient(series, [0.5, bad, 0.7, -1.0])
+        with pytest.raises(DomainError, match=re.escape(message)):
+            quality_coefficient(series.performance_at(1), bad)
+
+    def test_index_above_one_gives_one_warning(self):
+        series = SeriesTable([0, 1, 2], np.full((3, 2), 0.6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = quality_coefficient(series, [1.2, 0.5, 1.5])
+        assert [str(w.message) for w in caught] == [
+            "index value 1.2 exceeds 1; composite indices are defined on [0, 1]"
+        ]
+        assert [p.qc for p in points] == [0.6 / 1.2, 0.6 / 0.5, 0.6 / 1.5]
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("ihdi", [[0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]]])
+    def test_one_index_value_per_row(self, ihdi):
+        series = SeriesTable([0, 1, 2], np.full((3, 2), 0.6))
+        with pytest.raises(ShapeError, match="one index value per row"):
+            quality_coefficient(series, ihdi)
+        with pytest.raises(ShapeError, match="one index value per row"):
+            quality_coefficient(series.performance_at(0), ihdi[:2])
+
+    def test_overflowing_coefficient_rejected(self):
+        # 0.5 / 5e-324 is not a binary64; an infinite coefficient would
+        # reach the quality table, which cannot read it back
+        with pytest.raises(DomainError, match="quality coefficient overflows"):
+            quality_coefficient(PerformanceVector(np.full(3, 0.5), 0), 5e-324)
+        series = SeriesTable([0, 1], np.full((2, 2), 0.5))
+        with pytest.raises(DomainError, match="quality coefficient overflows"):
+            quality_coefficient(series, [0.5, 1e-310])
+
+
 def _points(qc_values, t0: int = 0) -> list[QualityPoint]:
     # unit index makes the qc * ihdi == mean_w identity exact by construction
     return [QualityPoint(t0 + k, 1.0, float(v), float(v)) for k, v in enumerate(qc_values)]
@@ -100,6 +190,16 @@ class TestTrend:
         pts = _points([0.95, 0.95])
         with pytest.raises(InputError):
             trend([pts[1], pts[0]])
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_slope_eps_must_be_finite_and_non_negative(self, eps):
+        with pytest.raises(DomainError, match=re.escape(f"slope_eps must be a finite number >= 0, got {eps}")):
+            trend(_points([0.95, 0.9, 0.8]), slope_eps=eps)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.0])
+    def test_zero_dead_band(self, eps):
+        assert trend(_points([0.95, 0.95]), slope_eps=eps).classification == "stationary"
+        assert trend(_points([0.95, 0.96]), slope_eps=eps).classification == "increasing"
 
     @given(slope=st.floats(-1.0, 1.0, allow_nan=False))
     def test_classification_total(self, slope):

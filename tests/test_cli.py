@@ -189,6 +189,23 @@ class TestQcCommand:
     def test_negative_slope_eps_exits_one(self, quality_series_file, capsys):
         assert main(["qc", "--series", quality_series_file, "--slope-eps", "-0.1"]) == 1
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-0.1"])
+    def test_slope_eps_must_be_finite_and_non_negative(self, eps, tmp_path, capsys):
+        # a falling series: with a NaN dead band every slope read as stationary
+        path = tmp_path / "falling.csv"
+        path.write_text("t,S1,S2,IHDI\n0,0.9,0.9,0.9\n1,0.5,0.5,0.9\n2,0.1,0.1,0.9\n")
+        assert main(["qc", "--series", str(path), "--slope-eps", eps]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: slope_eps must be a finite number >= 0, got {float(eps)}" in out.err
+
+    def test_overflowing_coefficient_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "tiny-index.csv"
+        path.write_text("t,S1,S2,IHDI\n0,0.5,0.4,5e-324\n1,0.5,0.4,0.8\n")
+        assert main(["qc", "--series", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "quality coefficient overflows" in out.err
+
 
 class TestRankCommand:
     def test_varying_subsystem_ranked_first(self, tmp_path, capsys):

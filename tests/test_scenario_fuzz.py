@@ -1,8 +1,10 @@
-"""Parser fuzzing: mutated scenario documents keep the error contract.
+"""Parser fuzzing: mutated JSON documents keep the error contract.
 
-Every mutated document either parses into a scenario that passes its own
+Every mutated scenario either parses into a scenario that passes its own
 ``validate``, or is rejected with ParseError or ValidationError; through
 the CLI every one of them exits 0, 1 or 2, and a rejected one exits 1.
+Every mutated ranking or tune document is either rejected with ParseError
+or read into a value that, written and read again, is equal to it.
 """
 
 import contextlib
@@ -13,7 +15,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossimpact import ParseError, ValidationError, parse_scenario
+from crossimpact import (
+    CalibrationReport,
+    InfluenceMatrix,
+    InfluenceRanking,
+    ParseError,
+    TuneResult,
+    ValidationError,
+    parse_ranking,
+    parse_scenario,
+    parse_tune_result,
+    write_ranking,
+    write_tune_result,
+)
 from crossimpact.cli import main
 
 BASE = {
@@ -40,7 +54,8 @@ cell_values = st.floats() | st.sampled_from(
     [-0.5, -0.0, 0.0, 1.0, 1.5, 1e308, -1e-308, float("nan"), float("inf")]
 )
 factors = st.sampled_from([-1, 0, 2, 0.5, 1e3, 1e300, -1e-300])
-ACTIONS = ["drop", "retype", "rescale", "cell", "resize", "policy", "option", "extra"]
+PATH_ACTIONS = ["drop", "retype", "rescale", "cell", "resize", "extra"]
+ACTIONS = PATH_ACTIONS + ["policy", "option"]
 STEP_KEYS = ["0", "01", "+1", " 2", "3", "4", "5", "-1", "1_0", "x"]
 
 
@@ -66,39 +81,45 @@ def _scaled(node, factor):
     return node
 
 
+def _mutate_path(draw, doc: dict, action: str) -> None:
+    """Apply one of ``PATH_ACTIONS`` to a random path of ``doc``, in place."""
+    paths = sorted(_paths(doc), key=repr)
+    if not paths:
+        return
+    path = draw(st.sampled_from(paths))
+    parent, key = _get(doc, path[:-1]), path[-1]
+    if action == "drop" and isinstance(parent, dict):
+        del parent[key]
+    elif action == "retype":
+        parent[key] = draw(json_values)
+    elif action == "rescale":
+        parent[key] = _scaled(parent[key], draw(factors))
+    elif action == "cell":
+        parent[key] = draw(cell_values)
+    elif action == "resize" and isinstance(parent[key], list):
+        if parent[key] and draw(st.booleans()):
+            parent[key].pop()
+        else:
+            parent[key].append(json.loads(json.dumps(parent[key][-1])) if parent[key] else 0.5)
+    elif action == "extra":
+        doc[draw(st.text(max_size=6))] = draw(json_values)
+
+
 @st.composite
 def mutated_documents(draw):
     doc = json.loads(json.dumps(BASE))
     if draw(st.booleans()):
         doc["u"] = "calibrate"
     for _ in range(draw(st.integers(1, 4))):
-        paths = sorted(_paths(doc), key=repr)
-        if not paths:
-            break
-        path = draw(st.sampled_from(paths))
-        parent, key = _get(doc, path[:-1]), path[-1]
         action = draw(st.sampled_from(ACTIONS))
-        if action == "drop" and isinstance(parent, dict):
-            del parent[key]
-        elif action == "retype":
-            parent[key] = draw(json_values)
-        elif action == "rescale":
-            parent[key] = _scaled(parent[key], draw(factors))
-        elif action == "cell":
-            parent[key] = draw(cell_values)
-        elif action == "resize" and isinstance(parent[key], list):
-            if parent[key] and draw(st.booleans()):
-                parent[key].pop()
-            else:
-                parent[key].append(json.loads(json.dumps(parent[key][-1])) if parent[key] else 0.5)
-        elif action == "policy" and isinstance(doc.get("policy"), dict):
+        if action == "policy" and isinstance(doc.get("policy"), dict):
             step = draw(st.sampled_from(STEP_KEYS) | st.text(max_size=3))
             doc["policy"][step] = draw(st.lists(cell_values, min_size=2, max_size=4))
         elif action == "option" and isinstance(doc.get("options"), dict):
             name = draw(st.sampled_from(["clamp", "normalize_w", "eps_delta"]))
             doc["options"][name] = draw(st.booleans() | cell_values)
-        elif action == "extra":
-            doc[draw(st.text(max_size=6))] = draw(json_values)
+        else:
+            _mutate_path(draw, doc, action)
     if draw(st.booleans()) and isinstance(doc.get("horizon"), int):
         doc["horizon"] = draw(st.integers(-2, 8))
     return json.dumps(doc)
@@ -156,3 +177,53 @@ def test_mutated_scenarios_keep_the_error_contract(text, scenario_path):
     if scenario is None:
         assert code == 1
     assert "Traceback" not in err.getvalue()
+
+
+# Machine output of ``rank`` and ``tune``, as their writers spell it.
+OUTPUTS = {
+    "ranking": (
+        parse_ranking,
+        write_ranking,
+        write_ranking(InfluenceRanking("column-sums", (2, 0, 1), (0.75, 0.5, 0.125), (0.625, 0.25, 0.125))),
+    ),
+    "tune": (
+        parse_tune_result,
+        write_tune_result,
+        write_tune_result(
+            TuneResult(
+                InfluenceMatrix(BASE["r1"], 1),
+                InfluenceMatrix([[1.0, 0.5, 0.0], [0.25, 1.0, 0.875], [0.125, 0.5, 1.0]], 2),
+                CalibrationReport(1e-6, (0.0, 2.5e-7, 0.5), (3, 1, 200), ("row 3: bracket exhausted",)),
+            )
+        ),
+    ),
+}
+LABELS = ["S0", "S1", "S01", "S4", "s1", " S1", "S1.0", "S\u0661", "1", ""]
+
+
+@st.composite
+def mutated_outputs(draw):
+    kind = draw(st.sampled_from(sorted(OUTPUTS)))
+    doc = json.loads(OUTPUTS[kind][2])
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(PATH_ACTIONS + ["label"]))
+        if action == "label" and isinstance(doc.get("order"), list) and doc["order"]:
+            doc["order"][draw(st.integers(0, len(doc["order"]) - 1))] = draw(st.sampled_from(LABELS))
+        else:
+            _mutate_path(draw, doc, action)
+    return kind, json.dumps(doc)
+
+
+@given(doc=mutated_outputs())
+@example(doc=("ranking", OUTPUTS["ranking"][2]))
+@example(doc=("tune", OUTPUTS["tune"][2]))
+@example(doc=("tune", OUTPUTS["tune"][2].replace('"r_curr": [', '"r_curr": null, "x": [')))
+@settings(max_examples=200, deadline=None)
+def test_mutated_outputs_keep_the_error_contract(doc):
+    kind, text = doc
+    parse, write, _ = OUTPUTS[kind]
+    try:
+        value = parse(text)
+    except ParseError:
+        return
+    assert parse(write(value)) == value

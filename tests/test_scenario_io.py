@@ -607,6 +607,25 @@ class TestJsonReaders:
             parse_ranking(_with_literal(_ranking_doc(), place, literal))
 
     @pytest.mark.parametrize(
+        "reader, doc, place, literal",
+        [
+            (parse_ranking, _ranking_doc, lambda d, v: d["loadings"].__setitem__(0, v), '"0.75"'),
+            (parse_ranking, _ranking_doc, lambda d, v: d["loadings"].__setitem__(0, v), "true"),
+            (parse_ranking, _ranking_doc, lambda d, v: d["explained_variance_ratios"].__setitem__(0, v), "true"),
+            (parse_tune_result, _tune_doc, lambda d, v: d.update(r_curr=v), "null"),
+            (parse_tune_result, _tune_doc, lambda d, v: d["report"].update(notes=[v]), "1.5"),
+            (parse_tune_result, _tune_doc, lambda d, v: d["report"].update(notes=[v]), "null"),
+            (parse_tune_result, _tune_doc, lambda d, v: d["report"].update(notes=v), '"abc"'),
+        ],
+        ids=["loading-str", "loading-true", "ratio-true", "r_curr-null", "note-number", "note-null", "notes-str"],
+    )
+    def test_fields_keep_their_json_types(self, reader, doc, place, literal):
+        # float() reads "0.75" and true, tuple() splits a string into its
+        # characters, and a null matrix is zero-dimensional
+        with pytest.raises(ParseError):
+            reader(_with_literal(doc(), place, literal))
+
+    @pytest.mark.parametrize(
         "design, loadings",
         [("column-sums", (float("nan"),) * 3), ("column-sums", (float("inf"), 0.5, 0.4)), (5, (0.6, 0.5, 0.4))],
         ids=["nan", "inf", "design"],
@@ -686,6 +705,28 @@ class TestCsvReader:
         # int() and float() read any Unicode decimal digit: '\u0661' is 1
         with pytest.raises(ParseError, match="line 2: non-ASCII"):
             reader(text)
+
+    def test_only_newline_ends_a_line(self):
+        # str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e, \x85 and \u2028;
+        # here they stay in their cell, where float reads \x0b and \x0c as space
+        assert parse_series("t,S1,S2\n0,0.5\x0c,0.4\n") == SeriesTable([0], [[0.5, 0.4]])
+        crlf = "t,S1,S2,IHDI\r\n0,0.5,0.4\x0b,0.8\r\n\r\n1,0.5,0.25,0.8\r\n"
+        assert parse_series(crlf) == parse_series(crlf.replace("\r\n", "\n"))
+        assert parse_matrix("S1,S2\r\n1,0.5\r\n0.5,1\x0c\r\n").tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("t,S1,S2\n0,0.5,0.4\x0c\n1,0.5,x\n", "line 3: non-numeric cell 'x' in column S2"),
+            ("t,S1,S2\n0,0.5,0.4\x1c\n1,0.5,0.4\n", r"line 2: non-numeric cell '0.4\x1c' in column S2"),
+            ("t,S1,S2\n0,0.5,0.4\n1,0.5,0.4\u2028\n", "line 3: non-ASCII text"),
+            ("t,S1,S2\u2028\n0,0.5,0.4\n", "line 1: series header"),
+        ],
+        ids=["form-feed", "file-separator", "line-separator", "header-line-separator"],
+    )
+    def test_control_characters_stay_on_their_line(self, text, where):
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_series(text)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_matrix_cells_must_be_finite(self, cell):
