@@ -153,10 +153,14 @@ def jacobi_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarra
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DomainError(f"eigendecomposition needs a non-empty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("eigendecomposition needs finite entries")
+    with np.errstate(over="ignore"):
+        symmetric = 0.5 * (a + a.T)  # symmetrise at rounding level
+    if not np.isfinite(symmetric).all():
+        raise CrossImpactError("eigendecomposition overflows: entries must lie within half the binary64 range")
     try:
-        values, vectors = np.linalg.eigh(0.5 * (a + a.T))  # symmetrise at rounding level
+        values, vectors = np.linalg.eigh(symmetric)
     except np.linalg.LinAlgError as exc:
         raise CrossImpactError(f"eigendecomposition did not converge: {exc}") from exc
     values, vectors = values[::-1], vectors[:, ::-1]
@@ -202,9 +206,10 @@ class InfluenceRanking:
 def observation_matrix(trace: SimulationTrace, design: str = "column-sums") -> np.ndarray:
     """One observation row per trace step; features per the design."""
     if design == "column-sums":
-        return np.array([s.influence.entries.sum(axis=0) for s in trace.steps])
+        with np.errstate(over="ignore"):  # an infinite sum fails the ranking's covariance check
+            return trace.r.sum(axis=1)
     if design == "flattened":
-        return np.array([s.influence.entries.ravel() for s in trace.steps])
+        return trace.r.reshape(len(trace), -1)
     raise InputError(f"unknown observation design {design!r} (expected one of {OBSERVATION_DESIGNS})")
 
 
@@ -213,15 +218,24 @@ def ranking_from_observations(observations: np.ndarray, size: int, design: str) 
     x = np.asarray(observations, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InputError("ranking needs at least 2 observations")
-    centered = x - x.mean(axis=0)
-    if not np.any(np.var(centered, axis=0) > 0.0):
+    # Strengths near the binary64 limit (a run with clamp off) overflow the
+    # mean, the squares or the products: a numerical failure, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        spread = np.var(centered, axis=0)
+        cov = centered.T @ centered / (x.shape[0] - 1)
+    if not (np.isfinite(spread).all() and np.isfinite(cov).all()):
+        raise CrossImpactError("the covariance of the observations overflows: strengths too large to rank")
+    if not (spread > 0.0).any():
         raise DegenerateRankingError(
             "observation matrix has zero variance (constant trace): all subsystems are tied"
         )
-    cov = centered.T @ centered / (x.shape[0] - 1)
     values, vectors = jacobi_eigendecomposition(cov)
     clipped = np.clip(values, 0.0, None)
-    ratios = clipped / clipped.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = clipped / clipped.sum()
+    if not np.isfinite(ratios).all():
+        raise CrossImpactError("the covariance's eigenvalues overflow: strengths too large to rank")
     pc1 = vectors[:, 0]
     if design == "column-sums":
         magnitudes = np.abs(pc1)

@@ -4,8 +4,8 @@ Machine output (tables or JSON documents, all re-parseable by this
 package) goes to standard output or ``--out``; human diagnostics go to
 standard error.  Exit codes: 0 on success, 1 for input or validation
 problems, 2 for numerical failures such as non-convergence, infeasible
-rows or a degenerate ranking.  Identical invocations on identical inputs
-produce identical machine output.
+rows, a degenerate ranking or one whose covariance overflows.  Identical
+invocations on identical inputs produce identical machine output.
 """
 
 from __future__ import annotations
@@ -80,15 +80,9 @@ def cmd_simulate(args) -> int:
     scenario = parse_scenario(_read(args.scenario))
     trace = simulate(scenario, args.horizon if args.horizon is not None else scenario.horizon)
     _emit(write_trace(trace, args.format), args.out)
-    totals = BranchCounts(
-        sum(s.branches.one_zero for s in trace.steps),
-        sum(s.branches.equal for s in trace.steps),
-        sum(s.branches.ratio for s in trace.steps),
-        sum(s.branches.degenerate for s in trace.steps),
-    )
-    final = trace.steps[-1].performance
-    _note(f"simulated {len(trace)} steps (t = {trace.steps[0].timestamp}..{final.timestamp})")
-    _note("final performance: " + ", ".join(f"{v:.6g}" for v in final.values))
+    totals = BranchCounts(*trace.branches.sum(axis=0).tolist())
+    _note(f"simulated {len(trace)} steps (t = {trace.start}..{trace.start + len(trace) - 1})")
+    _note("final performance: " + ", ".join(f"{v:.6g}" for v in trace.w[-1].tolist()))
     _note(
         "update branches: one_zero="
         f"{totals.one_zero} equal={totals.equal} ratio={totals.ratio} "

@@ -19,8 +19,9 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -45,6 +46,13 @@ def _frozen_array(values, shape_name: str, ndim: int) -> np.ndarray:
         raise ShapeError(f"{shape_name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _square(n: int, m: int) -> int:
+    """The size of an n x m strength matrix, which must be square with n >= 2."""
+    if n != m or n < 2:
+        raise ShapeError(f"influence matrix must be square with size >= 2, got {n}x{m}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,7 @@ class PerformanceVector:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values, "performance values", 1))
         object.__setattr__(self, "timestamp", int(self.timestamp))
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise DomainError("performance values must all be finite")
 
     @property
@@ -127,14 +135,12 @@ class InfluenceMatrix:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, "influence entries", 2))
         object.__setattr__(self, "timestamp", int(self.timestamp))
-        n, m = self.entries.shape
-        if n != m or n < 2:
-            raise ShapeError(f"influence matrix must be square with size >= 2, got {n}x{m}")
-        if not np.all(np.isfinite(self.entries)):
+        _square(*self.entries.shape)
+        if not np.isfinite(self.entries).all():
             raise DomainError("influence entries must all be finite")
-        if np.any(self.entries < 0.0):
+        if (self.entries < 0.0).any():
             raise DomainError("influence entries must be non-negative")
-        if not np.all(np.diagonal(self.entries) == 1.0):
+        if not (self.entries.diagonal() == 1.0).all():
             raise DomainError("influence matrix diagonal must be exactly 1")
 
     @property
@@ -158,7 +164,7 @@ class UtilityMatrix:
         n, m = self.entries.shape
         if n != m or n < 2:
             raise ShapeError(f"utility matrix must be square with size >= 2, got {n}x{m}")
-        if not np.all(np.isfinite(self.entries)):
+        if not np.isfinite(self.entries).all():
             raise DomainError("utility entries must all be finite")
 
     @property
@@ -181,7 +187,7 @@ class PolicyIntervention:
     def __post_init__(self):
         object.__setattr__(self, "emphasis", _frozen_array(self.emphasis, "policy emphasis", 1))
         object.__setattr__(self, "timestamp", int(self.timestamp))
-        if not np.all(np.isfinite(self.emphasis)):
+        if not np.isfinite(self.emphasis).all():
             raise DomainError("policy emphasis must be finite")
 
     @classmethod
@@ -221,6 +227,9 @@ class BranchCounts:
         return self.one_zero + self.equal + self.ratio
 
 
+BRANCH_FIELDS = tuple(f.name for f in fields(BranchCounts))
+
+
 class StepResult(NamedTuple):
     performance: PerformanceVector
     influence: InfluenceMatrix
@@ -235,35 +244,114 @@ class TraceStep:
     branches: BranchCounts
 
 
-@dataclass(frozen=True)
+def trace_rules(w: np.ndarray, r: np.ndarray):
+    """The value rules of a trace over its (T, n) performance and (T, n, n)
+    strength stacks, in the order they are checked.  Each rule is the stack
+    it reads ("w" or "r"), the mask of the cells that break it, the rule
+    for the whole trace, and the rule after one cell's value."""
+    yield "w", ~np.isfinite(w), "performance values must all be finite", "is not a finite number"
+    yield "r", ~np.isfinite(r), "influence entries must all be finite", "is not a finite number"
+    off_one = np.eye(r.shape[-1], dtype=bool) & (r != 1.0)
+    yield "r", off_one, "influence matrix diagonal must be exactly 1", "but the diagonal must be exactly 1"
+    yield "r", r < 0.0, "influence entries must be non-negative", "is negative"
+
+
+def stack_steps(timestamps, ws, rs) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-step timestamps, performance vectors and strength matrices
+    (arrays or rectangular nested lists) as the (T, n) and (T, n, n) stacks
+    of a trace and its first timestamp.  Timestamps must increase by 1,
+    every matrix must be square with n >= 2, and every step of one size."""
+    if not timestamps:
+        raise InputError("a trace needs at least one step")
+    for prev_t, t in zip(timestamps, timestamps[1:]):
+        if t != prev_t + 1:
+            raise SequencingError(f"trace timestamps must increase by 1, got {prev_t} then {t}")
+    size = len(ws[0])
+    for w, r in zip(ws, rs):
+        n = _square(len(r), len(r[0]) if len(r) else 0)
+        if n != size or len(w) != size:
+            raise ShapeError("all trace steps must share one subsystem count")
+    return np.array(ws, dtype=float), np.array(rs, dtype=float), timestamps[0]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SimulationTrace:
-    """Ordered per-step outputs of a simulation run."""
+    """Ordered per-step outputs of a simulation run, as stacked arrays.
 
-    steps: tuple[TraceStep, ...]
+    ``w`` (T, n) holds the performance vectors, ``r`` (T, n, n) the
+    strength matrices and ``branches`` (T, 4) the update counts (one_zero,
+    equal, ratio, degenerate) of the steps with timestamps ``start`` ..
+    ``start + T - 1``.  The stacks are read-only and checked once, with
+    the rules of ``trace_rules``.  ``steps`` gives the same run as
+    ``TraceStep`` objects, built on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.steps:
-            raise InputError("a trace needs at least one step")
-        size = self.steps[0].performance.size
-        prev_t = None
-        for s in self.steps:
-            if s.performance.size != size or s.influence.size != size:
-                raise ShapeError("all trace steps must share one subsystem count")
+    w: np.ndarray
+    r: np.ndarray
+    branches: np.ndarray
+    start: int
+
+    def __init__(self, steps):
+        steps = tuple(steps)
+        for s in steps:
             if s.timestamp != s.performance.timestamp or s.timestamp != s.influence.timestamp:
                 raise SequencingError(f"trace step {s.timestamp} carries mismatched timestamps")
-            if prev_t is not None and s.timestamp != prev_t + 1:
-                raise SequencingError(
-                    f"trace timestamps must increase by 1, got {prev_t} then {s.timestamp}"
-                )
-            prev_t = s.timestamp
+        w, r, start = stack_steps(
+            [s.timestamp for s in steps], [s.performance.values for s in steps], [s.influence.entries for s in steps]
+        )
+        counts = [(s.branches.one_zero, s.branches.equal, s.branches.ratio, s.branches.degenerate) for s in steps]
+        self._freeze(w, r, counts, start)
+        vars(self)["steps"] = steps
+
+    @classmethod
+    def from_arrays(cls, w, r, branches, start: int) -> "SimulationTrace":
+        """A trace from its stacks; it keeps and freezes the arrays it is given."""
+        trace = cls.__new__(cls)
+        trace._freeze(w, r, branches, start)
+        return trace
+
+    def _freeze(self, w, r, branches, start) -> None:
+        """Check the stacks once and keep them, read-only."""
+        w, r = np.asarray(w, dtype=float), np.asarray(r, dtype=float)
+        try:
+            branches = np.asarray(branches, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("branch counts must lie within the 64-bit integer range") from None
+        if r.ndim != 3 or len(r) == 0:
+            raise ShapeError(f"trace strengths must be a (T, n, n) stack with T >= 1, got shape {r.shape}")
+        n = _square(*r.shape[1:])
+        if w.shape != (r.shape[0], n) or branches.shape != (r.shape[0], len(BRANCH_FIELDS)):
+            raise ShapeError("all trace steps must share one subsystem count")
+        for _, mask, rule, _ in trace_rules(w, r):
+            if mask.any():
+                raise DomainError(rule)
+        for array in (w, r, branches):
+            array.setflags(write=False)
+        vars(self).update(w=w, r=r, branches=branches, start=int(start))
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple(
+            TraceStep(t, PerformanceVector(w, t), InfluenceMatrix(r, t), BranchCounts(*b))
+            for t, w, r, b in zip(range(self.start, self.start + len(self)), self.w, self.r, self.branches.tolist())
+        )
 
     @property
     def size(self) -> int:
-        return self.steps[0].performance.size
+        return self.w.shape[1]
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self.w.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimulationTrace):
+            return NotImplemented
+        return (
+            self.start == other.start
+            and np.array_equal(self.w, other.w)
+            and np.array_equal(self.r, other.r)
+            and np.array_equal(self.branches, other.branches)
+        )
 
 
 def compute_weights(influence: InfluenceMatrix, utility: UtilityMatrix) -> PerformanceVector:
@@ -346,9 +434,9 @@ def _updated_entries(
     scalar rule's operations in its order, so every value and branch count
     is bit-for-bit the scalar rule's.
     """
-    if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(prior))):
+    if not (np.isfinite(deltas).all() and np.isfinite(prior).all()):
         raise DomainError("relationship update requires finite deltas and strength")
-    if np.any(prior < 0.0):
+    if (prior < 0.0).any():
         raise DomainError(f"prior strength must be non-negative, got {prior[prior < 0.0][0]}")
     eps = opts.eps_delta
     d_i, d_j = deltas[:, None], deltas[None, :]
@@ -442,13 +530,16 @@ def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
     utility = scenario.resolved_utility()
     opts = scenario.options
     w_prev, w_curr, r_curr = scenario.w0, scenario.w1, scenario.r1
-    steps: list[TraceStep] = []
+    start = w_curr.timestamp + 1
+    ws, rs, counts = [], [], []
     # A performance vector that overflows (a huge policy emphasis, say) is
     # rejected as a DomainError by PerformanceVector, with no numpy warning.
     with np.errstate(over="ignore"):
         for s in range(1, horizon + 1):
             policy = scenario.policy.get(s)
-            w_next, r_next, counts = step(w_prev, w_curr, r_curr, utility, policy, opts)
-            steps.append(TraceStep(w_next.timestamp, w_next, r_next, counts))
+            w_next, r_next, c = step(w_prev, w_curr, r_curr, utility, policy, opts)
+            ws.append(w_next.values)
+            rs.append(r_next.entries)
+            counts.append((c.one_zero, c.equal, c.ratio, c.degenerate))
             w_prev, w_curr, r_curr = w_curr, w_next, r_next
-    return SimulationTrace(tuple(steps))
+    return SimulationTrace.from_arrays(np.array(ws), np.array(rs), counts, start)

@@ -27,7 +27,7 @@ import math
 import re
 import reprlib
 import string
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -36,15 +36,16 @@ from .analysis import InfluenceRanking, QualityPoint
 from .calibration import CalibrationReport, solve_utility_min_norm
 from .errors import DomainError, InputError, ParseError, ShapeError, ValidationError
 from .model import (
-    BranchCounts,
+    BRANCH_FIELDS,
     InfluenceMatrix,
     ModelOptions,
     PerformanceVector,
     PolicyIntervention,
     SimulationTrace,
     SubsystemSet,
-    TraceStep,
     UtilityMatrix,
+    stack_steps,
+    trace_rules,
 )
 
 
@@ -239,10 +240,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _finite_array(raw, key: str, ndim: int, out: list[str]) -> np.ndarray | None:
+def _finite_array(raw, key: str, ndim: int, out: list[str], finite: bool = True) -> np.ndarray | None:
     """A JSON array (``ndim`` 1) or rectangular array of arrays (``ndim`` 2)
-    of finite numbers, as a float array.  Otherwise None, with each fault
-    appended to ``out``."""
+    of numbers, finite unless ``finite`` is false, as a float array.
+    Otherwise None, with each fault appended to ``out``.  A number is a
+    JSON number: ``"0.5"``, ``true`` and ``null`` are not."""
     rows = raw if ndim == 2 else [raw]
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in rows):
         out.append(f"{key} must be an array of {'arrays of ' * (ndim - 1)}numbers")
@@ -250,14 +252,14 @@ def _finite_array(raw, key: str, ndim: int, out: list[str]) -> np.ndarray | None
     if len({len(row) for row in rows}) > 1:
         out.append(f"{key} must be rectangular: its rows differ in length")
         return None
-    if all(set(map(type, row)) <= {int, float} and all(map(math.isfinite, row)) for row in rows):
+    if all(set(map(type, row)) <= {int, float} and (not finite or all(map(math.isfinite, row))) for row in rows):
         grid = np.array(raw, dtype=float)
         return grid if grid.ndim == ndim else grid.reshape(0, 0)  # raw == [] as a matrix
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if not _is_number(v) or not math.isfinite(v):
+            if not _is_number(v) or (finite and not math.isfinite(v)):
                 cell = f"[{i}][{j}]" if ndim == 2 else f"[{j}]"
-                out.append(f"{key}{cell} must be a finite number, got {reprlib.repr(v)}")
+                out.append(f"{key}{cell} must be a {'finite ' * finite}number, got {reprlib.repr(v)}")
     return None
 
 
@@ -570,11 +572,10 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
     """Render a trace.  The table format is one CSV row per step (no
     diagnostics columns); the structured format is a self-describing JSON
     document that also carries per-branch update counts."""
-    n = trace.size
+    n, timestamps = trace.size, range(trace.start, trace.start + len(trace))
     if format == "table":
         lines = [",".join(_trace_header(n))] + [
-            f"{s.timestamp},{_cells(s.performance.values.tolist() + s.influence.entries.ravel().tolist())}"
-            for s in trace.steps
+            f"{t},{_cells(w.tolist() + r.ravel().tolist())}" for t, w, r in zip(timestamps, trace.w, trace.r)
         ]
         return "\n".join(lines) + "\n"
     if format == "structured":
@@ -582,13 +583,8 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
             "kind": "trace",
             "size": n,
             "steps": [
-                {
-                    "t": s.timestamp,
-                    "w": s.performance.values.tolist(),
-                    "r": s.influence.entries.tolist(),
-                    "branches": asdict(s.branches),
-                }
-                for s in trace.steps
+                {"t": t, "w": w.tolist(), "r": r.tolist(), "branches": dict(zip(BRANCH_FIELDS, b))}
+                for t, w, r, b in zip(timestamps, trace.w, trace.r, trace.branches.tolist())
             ],
         }
         return _dumps(doc) + "\n"
@@ -614,12 +610,42 @@ def _integral(value, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
+def _may_hold_booleans(text: str) -> bool:
+    """Whether a trace document's text may hold a ``true`` or ``false``
+    literal: it has an 'f', or a 'u' outside an ``equal`` key.  Both are
+    single-character scans, so a written trace costs one ``find`` per step
+    rather than a look at every cell."""
+    if "f" in text:
+        return True
+    k = text.find("u")
+    while k != -1:
+        if text[k - 2 : k + 3] != "equal":
+            return True
+        k = text.find("u", k + 1)
+    return False
+
+
+def _numeric(values: np.ndarray | None, ndim: int) -> bool:
+    return values is not None and values.ndim == ndim and values.dtype.kind in "fi"
+
+
 def _parse_trace_structured(text: str) -> SimulationTrace:
+    """Each step's fields are read and type-checked here, naming the step;
+    the trace's shape and value rules are the model's, over the stacks.
+
+    Every cell must be a JSON number.  numpy reads a string, ``null``, a
+    nested array or an integer beyond 64 bits into a non-numeric or
+    misshapen array, and a boolean needs a literal that
+    ``_may_hold_booleans`` finds, so only those steps are checked cell by
+    cell, by ``_finite_array``."""
     doc = _load_json(text, "trace", "trace")
     step_docs = doc.get("steps", [])
     if not isinstance(step_docs, list):
         raise ParseError("trace 'steps' must be a list")
-    steps = []
+    if not step_docs:
+        raise ParseError("trace document has no steps")
+    booleans = _may_hold_booleans(text)
+    timestamps, ws, rs, counts = [], [], [], []
     for k, s in enumerate(step_docs):
         if not isinstance(s, dict):
             raise ParseError(f"trace steps[{k}] must be an object")
@@ -627,17 +653,27 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
         if not isinstance(branches, dict):
             raise ParseError(f"trace steps[{k}]: 'branches' must be an object")
         try:
-            t = _integral(s["t"], f"trace steps[{k}]: 't'")
-            counts = BranchCounts(*(
-                _integral(branches.get(f.name, 0), f"trace steps[{k}]: branch count {f.name!r}")
-                for f in fields(BranchCounts)
-            ))
-            steps.append(TraceStep(t, PerformanceVector(s["w"], t), InfluenceMatrix(s["r"], t), counts))
-        except (KeyError, TypeError, ValueError) as e:
+            timestamps.append(_integral(s["t"], f"trace steps[{k}]: 't'"))
+            counts.append([
+                _integral(branches.get(name, 0), f"trace steps[{k}]: branch count {name!r}") for name in BRANCH_FIELDS
+            ])
+            w, r = s["w"], s["r"]
+        except KeyError as e:
             raise ParseError(f"trace steps[{k}]: missing or malformed field {e!r}") from e
-    if not steps:
-        raise ParseError("trace document has no steps")
-    trace = SimulationTrace(tuple(steps))
+        try:
+            w_k, r_k = np.array(w), np.array(r)
+        except ValueError:  # a ragged array
+            w_k = r_k = None
+        if booleans or not (_numeric(w_k, 1) and _numeric(r_k, 2)):
+            out: list[str] = []
+            w_k = _finite_array(w, "w", 1, out, finite=False)
+            r_k = _finite_array(r, "r", 2, out, finite=False)
+            if out:
+                raise ParseError(f"trace steps[{k}]: {out[0]}")
+        ws.append(w_k)
+        rs.append(r_k)
+    w, r, start = stack_steps(timestamps, ws, rs)
+    trace = SimulationTrace.from_arrays(w, r, counts, start)
     size = _integral(doc.get("size"), "trace 'size'")
     if size != trace.size:
         raise ParseError(f"trace 'size' is {size}, but its steps have {trace.size} subsystems")
@@ -645,17 +681,23 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
 
 
 def _parse_trace_table(text: str) -> SimulationTrace:
+    """The table's cells and ``t`` are checked here; the value rules are the
+    model's, and a fault is reported at the first bad cell's line."""
     # at least two subsystems, as an influence matrix needs
     header, body, rows = _read_table(text, "trace", lambda h: _trace_header(max(2, sum(c[:1] == "W" for c in h))))
     n = sum(c[:1] == "W" for c in header)
-    t, r, diagonal = body[:, :1], body[:, n + 1 :], body[:, n + 1 :: n + 1]
+    t = body[:, :1]
     _refuse(t[1:] != t[:-1] + 1.0, t[1:], ["t"], rows[1:], "does not follow the previous t by 1")
-    _refuse(diagonal != 1.0, diagonal, header[n + 1 :: n + 1], rows, "but the diagonal must be exactly 1")
-    _refuse(r < 0.0, r, header[n + 1 :], rows, "is negative")
-    return SimulationTrace(tuple(
-        TraceStep(k, PerformanceVector(w, k), InfluenceMatrix(m.reshape(n, n), k), BranchCounts())
-        for k, w, m in zip(t[:, 0].astype(int).tolist(), body[:, 1 : n + 1], r)
-    ))
+    w, r = body[:, 1 : n + 1], body[:, n + 1 :].reshape(-1, n, n)
+    branches = np.zeros((len(rows), len(BRANCH_FIELDS)), dtype=np.int64)
+    try:
+        return SimulationTrace.from_arrays(w, r, branches, int(t[0, 0]))
+    except DomainError:
+        columns = {"w": (w, header[1 : n + 1]), "r": (r, header[n + 1 :])}
+        for stack, mask, _, rule in trace_rules(w, r):
+            values, names = columns[stack]
+            _refuse(mask.reshape(len(rows), -1), values.reshape(len(rows), -1), names, rows, rule)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -748,9 +790,14 @@ def parse_tune_result(text: str) -> TuneResult:
             sweeps=tuple(_integral(s, "tune report 'sweeps' item") for s in raw["sweeps"]),
             notes=tuple(raw["notes"]),
         )
+        out: list[str] = []
+        r_prev = _finite_array(doc["r_prev"], "r_prev", 2, out)
+        r_curr = _finite_array(doc["r_curr"], "r_curr", 2, out)
+        if out:
+            raise ValueError("; ".join(out))
         return TuneResult(
-            InfluenceMatrix(doc["r_prev"], _integral(doc["t_prev"], "tune 't_prev'")),
-            InfluenceMatrix(doc["r_curr"], _integral(doc["t_curr"], "tune 't_curr'")),
+            InfluenceMatrix(r_prev, _integral(doc["t_prev"], "tune 't_prev'")),
+            InfluenceMatrix(r_curr, _integral(doc["t_curr"], "tune 't_curr'")),
             report,
         )
     except (KeyError, TypeError, ValueError, DomainError, ShapeError) as e:

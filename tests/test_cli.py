@@ -1,12 +1,18 @@
 """Command-line behaviour: exit codes, output contracts, determinism."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossimpact import (
     SeriesTable,
+    SimulationTrace,
     parse_matrix,
     parse_qc_table,
     parse_ranking,
@@ -253,6 +259,60 @@ class TestRankCommand:
         trace_path.write_text(write_trace(random_trace(np.random.default_rng(2)), "table"))
         assert main(["rank", "--trace", str(trace_path)]) == 0
         parse_ranking(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # strengths this large come from a run with clamp off
+            (["1,0.5,1e200,1", "1,0.5,1e300,1", "1,0.5,1,1"], "the covariance of the observations overflows"),
+            # a finite covariance of 1.62e308 that overflows when symmetrised
+            (["1,0.5,0,1", "1,0.5,1.8e154,1"], "eigendecomposition overflows"),
+            # three finite covariances of 7.9e307 whose eigenvalues overflow
+            (["1,0,0,0,1,0,0,0,1", "1,1.26e154,0,0,1,1.26e154,1.26e154,0,1"], "the covariance's eigenvalues overflow"),
+        ],
+        ids=["covariance", "symmetrised", "eigenvalues"],
+    )
+    def test_overflowing_ranking_exits_two_without_warning(self, rows, message, tmp_path, capsys):
+        n = 3 if len(rows[0].split(",")) == 9 else 2
+        trace = SimulationTrace.from_arrays(
+            np.full((len(rows), n), 0.5),
+            np.array([[float(v) for v in row.split(",")] for row in rows]).reshape(-1, n, n),
+            np.zeros((len(rows), 4), dtype=int),
+            2,
+        )
+        path = tmp_path / "huge.csv"
+        path.write_text(write_trace(trace, "table"))
+        for design in ("column-sums", "flattened"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["rank", "--trace", str(path), "--design", design]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith(f"error: {message}")
+
+    @given(
+        cells=st.lists(
+            st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1.2e154, 1.8e154, 1e200, 8.9e307, 1.7976931348623157e308])
+            | st.floats(0.0, 1.7976931348623157e308),
+            min_size=4 * 9,
+            max_size=4 * 9,
+        ),
+        n=st.integers(2, 3),
+        steps=st.integers(2, 4),
+        design=st.sampled_from(["column-sums", "flattened"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_extreme_strengths_rank_or_exit_two(self, cells, n, steps, design, tmp_path_factory):
+        r = np.array(cells[: steps * n * n]).reshape(steps, n, n)
+        r[:, np.arange(n), np.arange(n)] = 1.0
+        trace = SimulationTrace.from_arrays(np.full((steps, n), 0.5), r, np.zeros((steps, 4), dtype=int), 2)
+        path = tmp_path_factory.mktemp("rank") / "trace.csv"
+        path.write_text(write_trace(trace, "table"))
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["rank", "--trace", str(path), "--design", design])
+        assert code in (0, 2), err.getvalue()
 
 
 class TestMachineOutputSelfCompatibility:

@@ -4,7 +4,9 @@ Every mutated scenario either parses into a scenario that passes its own
 ``validate``, or is rejected with ParseError or ValidationError; through
 the CLI every one of them exits 0, 1 or 2, and a rejected one exits 1.
 Every mutated ranking or tune document is either rejected with ParseError
-or read into a value that, written and read again, is equal to it.
+or read into a value that, written and read again, is equal to it.  In
+every JSON document, a number spelled as a string or as ``true`` is
+refused, and the CLI exits 1 on it.
 """
 
 import contextlib
@@ -24,8 +26,11 @@ from crossimpact import (
     ValidationError,
     parse_ranking,
     parse_scenario,
+    parse_trace,
     parse_tune_result,
+    simulate,
     write_ranking,
+    write_trace,
     write_tune_result,
 )
 from crossimpact.cli import main
@@ -227,3 +232,46 @@ def test_mutated_outputs_keep_the_error_contract(doc):
     except ParseError:
         return
     assert parse(write(value)) == value
+
+
+# One document of each JSON kind.  A reader that took "0.5" or true for a
+# number would write it back as a number, so the round trips above cannot
+# see that fault; here every number in turn is spelled as text or true.
+NUMBER_DOCUMENTS = {
+    "scenario": (parse_scenario, "simulate", "--scenario", json.dumps(BASE)),
+    "trace": (parse_trace, "rank", "--trace", write_trace(simulate(parse_scenario(json.dumps(BASE)), 3), "structured")),
+    "ranking": (parse_ranking, None, None, OUTPUTS["ranking"][2]),
+    "tune": (parse_tune_result, None, None, OUTPUTS["tune"][2]),
+}
+
+
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def numbers_as_text_or_true(draw):
+    kind = draw(st.sampled_from(sorted(NUMBER_DOCUMENTS)))
+    doc = json.loads(NUMBER_DOCUMENTS[kind][3])
+    path = draw(st.sampled_from(sorted((p for p in _paths(doc) if _is_json_number(_get(doc, p))), key=repr)))
+    parent = _get(doc, path[:-1])
+    parent[path[-1]] = draw(st.sampled_from([repr(parent[path[-1]]), True]))
+    return kind, json.dumps(doc)
+
+
+@given(doc=numbers_as_text_or_true())
+@example(doc=("trace", NUMBER_DOCUMENTS["trace"][3].replace("1.0", '"1.0"', 1)))
+@example(doc=("tune", OUTPUTS["tune"][2].replace("0.5", "true", 1)))
+@settings(max_examples=200, deadline=None)
+def test_numbers_spelled_as_text_or_true_are_refused(doc, scenario_path):
+    kind, text = doc
+    reader, command, flag, _ = NUMBER_DOCUMENTS[kind]
+    with pytest.raises((ParseError, ValidationError)):
+        reader(text)
+    if command is None:
+        return
+    scenario_path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main([command, flag, str(scenario_path)]) == 1
+    assert "Traceback" not in err.getvalue()

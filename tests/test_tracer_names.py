@@ -1,0 +1,57 @@
+"""The benchmark's tracer wraps engine functions by name.
+
+``perfbench/tracing.py`` replaces module attributes such as
+``crossimpact.model.step`` with timing wrappers.  A refactor that renames
+one of them, or stops calling it through its module, silently drops a
+per-layer metric; these tests catch that in tier 1.  They only read the
+tracer: it is loaded from its file, installed around one command and
+removed again.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from crossimpact import write_scenario
+from crossimpact.cli import main
+from conftest import self_consistent_scenario
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves(tracing):
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr, _ in tracing.WRAPPED
+        if getattr(tracing._resolve(owner), attr, None) is None
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("horizon", [1, 7])
+def test_simulate_calls_step_once_per_step(tracing, horizon, tmp_path, example_matrix, uniform_utility):
+    path = tmp_path / "scenario.json"
+    path.write_text(write_scenario(self_consistent_scenario(example_matrix, uniform_utility)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["simulate", "--scenario", str(path), "--horizon", str(horizon)])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and tracer.missing == []
+    calls = [span[3] for span in tracer.spans]
+    for name in ("model.step", "model.update_matrix", "model.compute_weights"):
+        assert calls.count(name) == horizon, name
+    assert calls.count("model.simulate") == 1
