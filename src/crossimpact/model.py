@@ -48,6 +48,17 @@ def _frozen_array(values, shape_name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _built(cls, timestamp: int, name: str, array: np.ndarray):
+    """An instance of ``cls`` whose field ``name`` is an array a step has
+    just computed: the array is frozen in place, with no copy and none of
+    the public constructor's checks.  The caller checks whatever its
+    computation does not guarantee."""
+    obj = object.__new__(cls)
+    array.setflags(write=False)
+    vars(obj).update({name: array, "timestamp": timestamp})
+    return obj
+
+
 def _square(n: int, m: int) -> int:
     """The size of an n x m strength matrix, which must be square with n >= 2."""
     if n != m or n < 2:
@@ -256,6 +267,35 @@ def trace_rules(w: np.ndarray, r: np.ndarray):
     yield "r", r < 0.0, "influence entries must be non-negative", "is negative"
 
 
+def branch_stack(counts) -> np.ndarray:
+    """Per-step update counts (one_zero, equal, ratio, degenerate) as a
+    64-bit integer array; a count beyond that range is a DomainError."""
+    try:
+        return np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("branch counts must lie within the 64-bit integer range") from None
+
+
+def branch_fault(branches: np.ndarray, n: int) -> str | None:
+    """Why the first row of a (T, 4) ``branch_stack`` cannot be the counts
+    of a step of n subsystems, naming it as ``steps[k]``, or None when
+    every row can.  Each of the n(n-1) off-diagonal cells takes one branch
+    and degenerate cells are ratio cells.  A row of zeros passes: it is a
+    step whose counts were not kept, as in a table trace."""
+    cells = n * (n - 1)
+    one_zero, equal, ratio, degenerate = branches.T
+    # an int64 sum can wrap around only when a count is already out of range
+    bad = ((branches < 0) | (branches > cells)).any(axis=1) | (degenerate > ratio) | (one_zero + equal + ratio != cells)
+    bad &= branches.any(axis=1)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    return (
+        f"trace steps[{k}]: branch counts {dict(zip(BRANCH_FIELDS, branches[k].tolist()))} are not a step's: "
+        f"each lies in 0..{cells}, degenerate <= ratio and one_zero + equal + ratio == {cells}"
+    )
+
+
 def stack_steps(timestamps, ws, rs) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-step timestamps, performance vectors and strength matrices
     (arrays or rectangular nested lists) as the (T, n) and (T, n, n) stacks
@@ -312,11 +352,7 @@ class SimulationTrace:
 
     def _freeze(self, w, r, branches, start) -> None:
         """Check the stacks once and keep them, read-only."""
-        w, r = np.asarray(w, dtype=float), np.asarray(r, dtype=float)
-        try:
-            branches = np.asarray(branches, dtype=np.int64)
-        except OverflowError:
-            raise DomainError("branch counts must lie within the 64-bit integer range") from None
+        w, r, branches = np.asarray(w, dtype=float), np.asarray(r, dtype=float), branch_stack(branches)
         if r.ndim != 3 or len(r) == 0:
             raise ShapeError(f"trace strengths must be a (T, n, n) stack with T >= 1, got shape {r.shape}")
         n = _square(*r.shape[1:])
@@ -325,6 +361,9 @@ class SimulationTrace:
         for _, mask, rule, _ in trace_rules(w, r):
             if mask.any():
                 raise DomainError(rule)
+        fault = branch_fault(branches, n)
+        if fault is not None:
+            raise DomainError(fault)
         for array in (w, r, branches):
             array.setflags(write=False)
         vars(self).update(w=w, r=r, branches=branches, start=int(start))
@@ -359,7 +398,7 @@ def compute_weights(influence: InfluenceMatrix, utility: UtilityMatrix) -> Perfo
     strength(i, j) * utility(i, j).
 
     Returns the raw aggregate (no clipping); the timestamp is copied from
-    the influence matrix.
+    the influence matrix.  An aggregate that overflows is a DomainError.
     """
     if influence.size != utility.size:
         raise ShapeError(
@@ -367,7 +406,9 @@ def compute_weights(influence: InfluenceMatrix, utility: UtilityMatrix) -> Perfo
             f"{utility.size}x{utility.size}"
         )
     weights = np.einsum("ij,ij->i", influence.entries, utility.entries)
-    return PerformanceVector(weights, influence.timestamp)
+    if not np.isfinite(weights).all():
+        raise DomainError("performance values must all be finite")
+    return _built(PerformanceVector, influence.timestamp, "values", weights)
 
 
 def update_relationship(
@@ -427,43 +468,59 @@ def _updated_entries(
     deltas: np.ndarray, prior: np.ndarray, opts: ModelOptions
 ) -> tuple[np.ndarray, BranchCounts]:
     """Apply ``update_relationship`` to every off-diagonal cell at once;
-    the diagonal stays 1.
+    the diagonal is set to 1.
 
     Cell (i, j) pairs ``deltas[i]`` with ``deltas[j]`` and ``prior[i, j]``.
-    Each branch is a boolean mask over the whole matrix, evaluated with the
-    scalar rule's operations in its order, so every value and branch count
-    is bit-for-bit the scalar rule's.
+    Non-finite deltas or strengths and negative strengths are a
+    DomainError, as in the scalar rule.
     """
     if not (np.isfinite(deltas).all() and np.isfinite(prior).all()):
         raise DomainError("relationship update requires finite deltas and strength")
     if (prior < 0.0).any():
         raise DomainError(f"prior strength must be non-negative, got {prior[prior < 0.0][0]}")
-    eps = opts.eps_delta
-    d_i, d_j = deltas[:, None], deltas[None, :]
-    zero = np.abs(deltas) <= eps
-    zero_i, zero_j = zero[:, None], zero[None, :]
-    # Division by zero, overflow and underflow are expected: the masks
-    # discard the cells outside the ratio branch, and ratio cells take the
-    # IEEE result, as the scalar rule does with Python floats.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        one_zero = zero_i != zero_j
-        equal = ~one_zero & ((zero_i & zero_j) | (np.abs(d_i - d_j) <= eps))
-        ratio = ~(one_zero | equal)
-        denom = d_j * prior
-        x = d_i / denom
-        degenerate = ratio & ((denom == 0.0) | (x == 0.0))
-        value = np.where(x > 0.0, np.abs(x), 1.0 / np.abs(x))
-        if opts.clamp:
-            value = np.minimum(np.maximum(value, 0.0), 1.0)
-    out = np.where(equal, prior, np.where(one_zero | degenerate, 0.0, value))
+    with np.errstate(all="ignore"):
+        out, counts = _update_kernel(deltas, prior, opts)
     np.fill_diagonal(out, 1.0)
-    # A finite delta always equals itself, so every diagonal cell is in
-    # ``equal`` and in no other mask.
+    return out, counts
+
+
+def _update_kernel(deltas: np.ndarray, prior: np.ndarray, opts: ModelOptions) -> tuple[np.ndarray, BranchCounts]:
+    """The whole-matrix update for a finite, non-negative ``prior``, run
+    under ``np.errstate(all="ignore")``.  Division by zero, overflow and
+    underflow are expected: the masks discard the cells outside the ratio
+    branch, and ratio cells take the IEEE result, as the scalar rule does
+    with Python floats.
+
+    Each branch is a boolean mask over the whole matrix, and each kept
+    value is the scalar rule's operation on the same operands, so every
+    value and branch count is bit-for-bit the scalar rule's.  A diagonal
+    cell keeps its prior and no entry is negative.  With ``opts.clamp``
+    every ratio cell lies in [0, 1], so every entry is finite.  The caller
+    checks that the deltas are finite."""
+    n, eps = deltas.shape[0], opts.eps_delta
+    d_i = deltas[:, None]
+    zero = np.abs(deltas) <= eps
+    zero_i = zero[:, None]
+    one_zero = zero_i != zero
+    # neither delta zero and the two more than eps_delta apart; a difference
+    # of finite deltas is never NaN, so ">" negates the scalar rule's "<="
+    ratio = (np.abs(d_i - deltas) > eps) > (zero_i | zero)
+    denom = deltas * prior
+    x = d_i / denom
+    degenerate = ratio & ((denom == 0.0) | (x == 0.0))
+    # |x| where x > 0; in every other kept cell x < 0, and -1 / x == 1 / |x|.
+    # The value is never negative, so the clamp to [0, 1] is one minimum.
+    value = -1.0 / x
+    np.copyto(value, x, where=x > 0.0)
+    if opts.clamp:
+        np.minimum(value, 1.0, out=value)
+    out = np.where(one_zero, 0.0, prior)
+    np.copyto(out, value, where=ratio)
+    np.copyto(out, 0.0, where=degenerate)
+    # a finite delta never differs from itself, so the diagonal is in no mask
+    one_zero_count, ratio_count = int(np.count_nonzero(one_zero)), int(np.count_nonzero(ratio))
     counts = BranchCounts(
-        int(np.count_nonzero(one_zero)),
-        int(np.count_nonzero(equal)) - prior.shape[0],
-        int(np.count_nonzero(ratio)),
-        int(np.count_nonzero(degenerate)),
+        one_zero_count, n * (n - 1) - one_zero_count - ratio_count, ratio_count, int(np.count_nonzero(degenerate))
     )
     return out, counts
 
@@ -487,10 +544,17 @@ def update_matrix(
             f"t(w_prev)={w_prev.timestamp}, t(w_curr)={w_curr.timestamp}, "
             f"t(r)={r_curr.timestamp}"
         )
-    with np.errstate(over="ignore"):  # an infinite delta is rejected as DomainError
+    # an overflowing delta becomes infinite and is rejected as a DomainError
+    with np.errstate(all="ignore"):
         deltas = w_curr.values - w_prev.values
-    entries, counts = _updated_entries(deltas, r_curr.entries, opts)
-    return InfluenceMatrix(entries, r_curr.timestamp + 1), counts
+        if not np.isfinite(deltas).all():
+            raise DomainError("relationship update requires finite deltas and strength")
+        entries, counts = _update_kernel(deltas, r_curr.entries, opts)
+    # the kernel keeps the prior's unit diagonal and no entry is negative;
+    # only an unclamped ratio can leave a non-finite entry
+    if not (opts.clamp or np.isfinite(entries).all()):
+        raise DomainError("influence entries must all be finite")
+    return _built(InfluenceMatrix, r_curr.timestamp + 1, "entries", entries), counts
 
 
 def step(
@@ -504,8 +568,10 @@ def step(
     """One full update: advance strengths, aggregate performance, apply
     the additive policy emphasis, clip to [0, 1] when normalizing."""
     r_next, counts = update_matrix(w_prev, w_curr, r_curr, opts)
-    w_raw = compute_weights(r_next, utility)
-    values = w_raw.values
+    w_next = compute_weights(r_next, utility)
+    if policy is None and not opts.normalize_w:
+        return StepResult(w_next, r_next, counts)
+    values = w_next.values
     if policy is not None:
         if policy.emphasis.shape[0] != values.shape[0]:
             raise ShapeError(
@@ -513,8 +579,11 @@ def step(
             )
         values = values + policy.emphasis
     if opts.normalize_w:
-        values = np.clip(values, 0.0, 1.0)
-    return StepResult(PerformanceVector(values, r_next.timestamp), r_next, counts)
+        # clipping maps an overflowed sum to a bound, so values stay finite
+        values = values.clip(0.0, 1.0)
+    elif not np.isfinite(values).all():
+        raise DomainError("performance values must all be finite")
+    return StepResult(_built(PerformanceVector, r_next.timestamp, "values", values), r_next, counts)
 
 
 def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
@@ -533,7 +602,8 @@ def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
     start = w_curr.timestamp + 1
     ws, rs, counts = [], [], []
     # A performance vector that overflows (a huge policy emphasis, say) is
-    # rejected as a DomainError by PerformanceVector, with no numpy warning.
+    # rejected as a DomainError by the step's finiteness check, with no
+    # numpy warning.
     with np.errstate(over="ignore"):
         for s in range(1, horizon + 1):
             policy = scenario.policy.get(s)

@@ -44,15 +44,25 @@ from .model import (
     SimulationTrace,
     SubsystemSet,
     UtilityMatrix,
+    branch_fault,
+    branch_stack,
     stack_steps,
     trace_rules,
 )
 
 
-def _cells(values) -> str:
-    """Plain floats as CSV cells with 17 significant digits, enough for any
-    binary64 to read back unchanged."""
-    return ",".join([format(x, ".17g") for x in values])
+def _csv(header: list[str], rows: list[list[float]], timestamps=None) -> str:
+    """A CSV table: the header, then one line per row of plain floats with
+    17 significant digits, enough for any binary64 to read back unchanged,
+    each after its integer timestamp when ``timestamps`` is given.  Each
+    line is one ``%`` operation; ``"%.17g" % x`` is ``format(x, ".17g")``."""
+    cells = ",".join(["%.17g"] * (len(header) - (timestamps is not None)))
+    if timestamps is None:
+        lines = [cells % tuple(row) for row in rows]
+    else:
+        line = "%d," + cells
+        lines = [line % (t, *row) for t, row in zip(timestamps, rows)]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _dumps(obj, newline: str = "\n") -> str:
@@ -417,16 +427,11 @@ class SeriesTable:
             raise ShapeError(f"series values must be 2-dimensional, got shape {values.shape}")
         if len(self.timestamps) != values.shape[0]:
             raise ShapeError("series needs one timestamp per row")
-        if not np.all(np.isfinite(values)):
-            raise ParseError("series values must all be finite")
-        for a, b in zip(self.timestamps, self.timestamps[1:]):
-            if b <= a:
-                raise ParseError(f"series timestamps must be strictly increasing, got {a} then {b}")
-        if self.ihdi is not None:
-            if self.ihdi.shape[0] != values.shape[0]:
-                raise ShapeError("series needs one IHDI value per row when the column is present")
-            if not np.all(np.isfinite(self.ihdi)) or np.any(self.ihdi <= 0.0) or np.any(self.ihdi > 1.0):
-                raise ParseError("IHDI values must lie in (0, 1]")
+        if self.ihdi is not None and self.ihdi.shape[0] != values.shape[0]:
+            raise ShapeError("series needs one IHDI value per row when the column is present")
+        for _, mask, rule, _ in series_rules(np.asarray(self.timestamps), values, self.ihdi):
+            if mask.any():
+                raise ParseError(rule)
 
     @property
     def size(self) -> int:
@@ -446,6 +451,27 @@ class SeriesTable:
         if (self.ihdi is None) != (other.ihdi is None):
             return False
         return self.ihdi is None or np.array_equal(self.ihdi, other.ihdi)
+
+
+def series_rules(t: np.ndarray, values: np.ndarray, ihdi: np.ndarray | None, normalized: bool = False):
+    """The value rules of a series table over its timestamps (T,), values
+    (T, n) and IHDI column (T,) or None, in the order they are checked.
+    Each rule is the column it reads ("t", "values" or "ihdi"), the mask of
+    the cells that break it, the rule for the whole table, and the rule
+    after one cell's value.  ``normalized`` adds the [0, 1] range of the
+    values, which the series format sets and a table does not."""
+    yield "values", ~np.isfinite(values), "series values must all be finite", "is not a finite number"
+    later = np.zeros(len(t), dtype=bool)
+    later[1:] = t[1:] <= t[:-1]
+    rule = "series timestamps must be strictly increasing"
+    if later.any():
+        k = int(later.argmax())
+        rule += f", got {t[k - 1]} then {t[k]}"
+    yield "t", later, rule, "is non-monotone: timestamps must strictly increase"
+    if normalized:
+        yield "values", (values < 0.0) | (values > 1.0), "series values must lie in [0, 1]", "is outside [0, 1]"
+    if ihdi is not None:
+        yield "ihdi", ~((ihdi > 0.0) & (ihdi <= 1.0)), "IHDI values must lie in (0, 1]", "is outside (0, 1]"
 
 
 def _series_header(n: int, ihdi: bool) -> list[str]:
@@ -530,20 +556,19 @@ def parse_series(text: str, normalized: bool = True) -> SeriesTable:
     header, body, rows = _read_table(
         text, "series", lambda h: _series_header(max(len(h) - 1 - (h[-1] == "IHDI"), 1), h[-1] == "IHDI")
     )
-    t, n = body[:, :1], len(header) - 1 - (header[-1] == "IHDI")
-    _refuse(t[1:] <= t[:-1], t[1:], ["t"], rows[1:], "is non-monotone: timestamps must strictly increase")
-    values, ihdi = body[:, 1 : n + 1], body[:, n + 1 :]
-    if normalized:
-        _refuse((values < 0.0) | (values > 1.0), values, header[1:], rows, "is outside [0, 1]")
-    _refuse((ihdi <= 0.0) | (ihdi > 1.0), ihdi, ["IHDI"], rows, "is outside (0, 1]")
-    return SeriesTable(t[:, 0].tolist(), values, ihdi[:, 0] if ihdi.size else None)
+    has_ihdi = header[-1] == "IHDI"
+    n = len(header) - 1 - has_ihdi
+    t, values, ihdi = body[:, 0], body[:, 1 : n + 1], body[:, n + 1] if has_ihdi else None
+    columns = {"t": (t, ["t"]), "values": (values, header[1 : n + 1]), "ihdi": (ihdi, ["IHDI"])}
+    for column, mask, _, rule in series_rules(t, values, ihdi, normalized):
+        array, names = columns[column]
+        _refuse(mask.reshape(len(rows), -1), array.reshape(len(rows), -1), names, rows, rule)
+    return SeriesTable(t.tolist(), values, ihdi)
 
 
 def write_series(table: SeriesTable) -> str:
-    header = ",".join(_series_header(table.size, table.ihdi is not None))
     values = table.values if table.ihdi is None else np.column_stack([table.values, table.ihdi])
-    lines = [header] + [f"{t},{_cells(row)}" for t, row in zip(table.timestamps, values.tolist())]
-    return "\n".join(lines) + "\n"
+    return _csv(_series_header(table.size, table.ihdi is not None), values.tolist(), table.timestamps)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +577,7 @@ def write_series(table: SeriesTable) -> str:
 
 def write_matrix(entries: np.ndarray) -> str:
     entries = np.asarray(entries, dtype=float)
-    lines = [",".join(_matrix_header(entries.shape[1]))] + [_cells(row) for row in entries.tolist()]
-    return "\n".join(lines) + "\n"
+    return _csv(_matrix_header(entries.shape[1]), entries.tolist())
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -574,10 +598,8 @@ def write_trace(trace: SimulationTrace, format: str = "table") -> str:
     document that also carries per-branch update counts."""
     n, timestamps = trace.size, range(trace.start, trace.start + len(trace))
     if format == "table":
-        lines = [",".join(_trace_header(n))] + [
-            f"{t},{_cells(w.tolist() + r.ravel().tolist())}" for t, w, r in zip(timestamps, trace.w, trace.r)
-        ]
-        return "\n".join(lines) + "\n"
+        rows = np.concatenate([trace.w, trace.r.reshape(len(trace), -1)], axis=1).tolist()
+        return _csv(_trace_header(n), rows, timestamps)
     if format == "structured":
         doc = {
             "kind": "trace",
@@ -673,7 +695,11 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
         ws.append(w_k)
         rs.append(r_k)
     w, r, start = stack_steps(timestamps, ws, rs)
-    trace = SimulationTrace.from_arrays(w, r, counts, start)
+    branches = branch_stack(counts)
+    fault = branch_fault(branches, w.shape[1])
+    if fault is not None:
+        raise ParseError(fault)
+    trace = SimulationTrace.from_arrays(w, r, branches, start)
     size = _integral(doc.get("size"), "trace 'size'")
     if size != trace.size:
         raise ParseError(f"trace 'size' is {size}, but its steps have {trace.size} subsystems")
@@ -705,8 +731,7 @@ def _parse_trace_table(text: str) -> SimulationTrace:
 # ---------------------------------------------------------------------------
 
 def write_qc_table(points: list[QualityPoint]) -> str:
-    lines = [",".join(_qc_header())] + [f"{p.timestamp},{_cells((p.mean_w, p.ihdi, p.qc))}" for p in points]
-    return "\n".join(lines) + "\n"
+    return _csv(_qc_header(), [(p.mean_w, p.ihdi, p.qc) for p in points], [p.timestamp for p in points])
 
 
 def parse_qc_table(text: str) -> list[QualityPoint]:

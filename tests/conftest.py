@@ -61,16 +61,17 @@ def self_consistent_scenario(
 
 def random_trace(rng: np.random.Generator, steps: int = 8, n: int = 5) -> SimulationTrace:
     """Hand-built valid trace (not simulator output): random monotone
-    timestamps starting at 2, random strengths and performance."""
+    timestamps starting at 2, random strengths and performance, and branch
+    counts that a step of n subsystems can produce."""
     out = []
+    cells = n * (n - 1)
     for k in range(steps):
         t = 2 + k
-        counts = BranchCounts(
-            int(rng.integers(0, 5)),
-            int(rng.integers(0, 5)),
-            int(rng.integers(0, 5)),
-            int(rng.integers(0, 2)),
-        )
+        one_zero = min(int(rng.integers(0, 5)), cells)
+        equal = min(int(rng.integers(0, 5)), cells - one_zero)
+        ratio = cells - one_zero - equal
+        rng.integers(0, 5)  # a spare draw, which keeps the strengths each seed gives
+        counts = BranchCounts(one_zero, equal, ratio, min(int(rng.integers(0, 2)), ratio))
         out.append(
             TraceStep(
                 t,

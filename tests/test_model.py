@@ -384,7 +384,7 @@ class TestUpdateKernel:
         out = capsys.readouterr()
         assert "Warning" not in out.err
         # the same trace as a run through the per-cell reference
-        monkeypatch.setattr("crossimpact.model._updated_entries", _scalar_entries)
+        monkeypatch.setattr("crossimpact.model._update_kernel", _scalar_entries)
         assert main(args) == 0
         assert capsys.readouterr().out == out.out
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossimpact import (
+    BranchCounts,
     CalibrationReport,
     DomainError,
     InfluenceMatrix,
@@ -19,7 +20,10 @@ from crossimpact import (
     PolicyIntervention,
     QualityPoint,
     Scenario,
+    ShapeError,
+    SimulationTrace,
     SubsystemSet,
+    TraceStep,
     TuneResult,
     UtilityMatrix,
     ValidationError,
@@ -41,7 +45,7 @@ from crossimpact import (
 )
 from crossimpact import SeriesTable, influence_ranking
 from crossimpact.cli import main
-from crossimpact.scenario_io import _dumps
+from crossimpact.scenario_io import _csv, _dumps
 from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario
 
 
@@ -147,6 +151,30 @@ class TestParseScenario:
         with pytest.raises(ValidationError) as err:
             parse_scenario(json.dumps(doc))
         assert any(fragment in v for v in err.value.violations), err.value.violations
+
+    @pytest.mark.parametrize(
+        "row, violation",
+        [
+            ("[0.1, NaN, 0, 0, 0]", "policy step 2 emphasis[1] must be a finite number, got nan"),
+            ("[0.1, 0, Infinity, 0, 0]", "policy step 2 emphasis[2] must be a finite number, got inf"),
+            ("[0.1, 0, 0, 0, -1e400]", "policy step 2 emphasis[4] must be a finite number, got -inf"),
+            ("[0.1, 0, 0, true, 0]", "policy step 2 emphasis[3] must be a finite number, got True"),
+            ("[0.1, 0, 0, 0]", "policy step 2 emphasis has length 4, expected 5"),
+        ],
+        ids=["nan", "inf", "1e400", "true", "short"],
+    )
+    def test_a_bad_policy_row_is_named_by_its_step(self, row, violation):
+        rows = {str(s): "[0.1, 0, 0, 0, 0]" for s in range(1, 6)}
+        rows["2"] = row
+        text = json.dumps(minimal_doc() | {"horizon": 5, "policy": {}}).replace(
+            '"policy": {}', '"policy": {' + ", ".join(f'"{s}": {r}' for s, r in rows.items()) + "}"
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert err.value.violations == [violation]
+        scenario = parse_scenario(text.replace(row, "[0.1, 0, 0, 0, 0.5]"))
+        assert scenario.policy[2] == PolicyIntervention([0.1, 0, 0, 0, 0.5], 2)
+        assert not scenario.policy[2].emphasis.flags.writeable
 
     def test_duplicate_policy_steps_rejected(self):
         doc = minimal_doc()
@@ -280,6 +308,52 @@ class TestParseSeries:
         bare = parse_series("t,S1,S2\n0,0.125,0.25\n3,0.375,0.5\n")
         assert parse_series(write_series(bare)) == bare
 
+    @pytest.mark.parametrize(
+        "timestamps, values, ihdi, kind, message",
+        [
+            ((0, 1), [[0.5, np.nan], [0.5, 0.4]], None, ParseError, "series values must all be finite"),
+            ((0, 1), [[0.5, 0.4], [-np.inf, 0.4]], None, ParseError, "series values must all be finite"),
+            ((0, 3, 3), [[0.5, 0.4]] * 3, None, ParseError, "series timestamps must be strictly increasing, got 3 then 3"),
+            ((5, 2), [[0.5, 0.4]] * 2, None, ParseError, "series timestamps must be strictly increasing, got 5 then 2"),
+            ((0, 10**30, 1), [[0.5, 0.4]] * 3, None, ParseError,
+             f"series timestamps must be strictly increasing, got {10**30} then 1"),
+            ((0, 1), [[0.5, 0.4]] * 2, [0.5, 0.0], ParseError, "IHDI values must lie in (0, 1]"),
+            ((0, 1), [[0.5, 0.4]] * 2, [1.5, 0.5], ParseError, "IHDI values must lie in (0, 1]"),
+            ((0, 1), [[0.5, 0.4]] * 2, [0.5, np.nan], ParseError, "IHDI values must lie in (0, 1]"),
+            ((0, 1), [[0.5, 0.4]] * 2, [0.5, np.inf], ParseError, "IHDI values must lie in (0, 1]"),
+            ((0, 1), [[0.5, 0.4]] * 2, [0.5], ShapeError, "series needs one IHDI value per row when the column is present"),
+            ((0,), [[0.5, 0.4]] * 2, None, ShapeError, "series needs one timestamp per row"),
+            ((0, 1), [0.5, 0.4], None, ShapeError, "series values must be 2-dimensional, got shape (2,)"),
+        ],
+        ids=["nan", "-inf", "repeated-t", "backwards-t", "huge-t", "ihdi-0", "ihdi-1.5", "ihdi-nan", "ihdi-inf",
+             "ihdi-short", "t-short", "values-1d"],
+    )
+    def test_series_table_rules(self, timestamps, values, ihdi, kind, message):
+        with pytest.raises(kind) as raised:
+            SeriesTable(timestamps, values, ihdi)
+        assert type(raised.value) is kind and str(raised.value) == message
+
+    @pytest.mark.parametrize("ihdi", [None, [0.5, 1.0, 5e-324]])
+    def test_series_table_accepts_the_edges(self, ihdi):
+        table = SeriesTable((-(2**70), 0, 2**70), [[0.0, 1.0], [2.0, -1.0], [5e-324, 1e308]], ihdi)
+        assert table.timestamps == (-(2**70), 0, 2**70) and len(table) == 3
+        assert SeriesTable((), np.zeros((0, 2))).size == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,S1,S2\n0,0.5,0.4\n2,0.5,0.4\n1,0.5,0.4\n", "line 4: t = 1 is non-monotone: timestamps must strictly increase"),
+            ("t,S1,S2,IHDI\n0,0.5,0.4,0.5\n1,0.5,0.4,0\n", "line 3: IHDI = 0 is outside (0, 1]"),
+            ("t,S1,S2,IHDI\n0,0.5,1.25,0.5\n1,0.5,0.4,0\n", "line 2: S2 = 1.25 is outside [0, 1]"),
+            ("t,S1,S2\n0,0.5,0.4\n0,1.5,0.4\n", "line 3: t = 0 is non-monotone: timestamps must strictly increase"),
+        ],
+        ids=["t", "ihdi", "range-before-ihdi", "t-before-range"],
+    )
+    def test_series_rules_name_the_line(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_series(text)
+        assert str(raised.value) == message
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random(self, seed):
@@ -389,6 +463,80 @@ class TestTraceRoundTrip:
         path.write_text(text)
         assert main(["rank", "--trace", str(path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            # a document no step can produce: a negative count, degenerate
+            # above ratio, and 2 cells where a 2-subsystem step has 2 cells
+            [-3, 7, 0, 5],
+            [0, 3, 0, 0],
+            [0, 0, 2, 3],
+            [1, 0, 1, 2],
+            [0, 1, 0, 0],
+            [2, 2, 2, 0],
+            [2**63 - 1, 2**63 - 1, 4, 0],  # a 64-bit sum of 2**64 + 2 wraps to 2
+        ],
+        ids=["negative", "equal-above-cells", "degenerate-above-cells", "degenerate-above-ratio", "short", "long",
+             "sum-wraps"],
+    )
+    def test_branch_counts_a_step_cannot_produce(self, counts, tmp_path, capsys):
+        doc = {
+            "kind": "trace",
+            "size": 2,
+            "steps": [
+                {"t": 2 + k, "w": [0.5, 0.4], "r": [[1.0, 0.5], [0.25, 1.0]], "branches": {"equal": 2}}
+                for k in range(3)
+            ],
+        }
+        doc["steps"][1]["branches"] = dict(zip(["one_zero", "equal", "ratio", "degenerate"], counts))
+        text = json.dumps(doc)
+        message = (
+            f"trace steps[1]: branch counts {doc['steps'][1]['branches']} are not a step's: "
+            "each lies in 0..2, degenerate <= ratio and one_zero + equal + ratio == 2"
+        )
+        with pytest.raises(ParseError) as raised:
+            parse_trace(text)
+        assert str(raised.value) == message
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        assert main(["rank", "--trace", str(path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    # the last row is a step whose counts were not kept
+    @pytest.mark.parametrize("counts", [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 2], [1, 0, 1, 1], [0, 1, 1, 0], [0, 0, 0, 0]])
+    def test_branch_counts_a_step_can_produce(self, counts):
+        doc = json.loads(write_trace(random_trace(np.random.default_rng(12), steps=2, n=2), "structured"))
+        doc["steps"][0]["branches"] = dict(zip(["one_zero", "equal", "ratio", "degenerate"], counts))
+        assert parse_trace(json.dumps(doc)).branches[0].tolist() == counts
+        del doc["steps"][0]["branches"]
+        assert parse_trace(json.dumps(doc)).branches[0].tolist() == [0, 0, 0, 0]
+
+    def test_a_table_trace_reads_back_as_structured(self):
+        # a table keeps no branch counts, so its steps carry zeros
+        table = write_trace(random_trace(np.random.default_rng(13), steps=3, n=3), "table")
+        trace = parse_trace(table)
+        again = parse_trace(write_trace(trace, "structured"))
+        assert again == trace and not again.branches.any()
+        assert write_trace(again, "table") == table
+
+    def test_every_trace_holds_counts_a_step_can_produce(self):
+        # the rule is the model's, so no trace that write_trace is given can
+        # hold counts that parse_trace refuses
+        trace = random_trace(np.random.default_rng(14), steps=3, n=2)
+        branches = trace.branches.copy()
+        branches[2] = [-3, 7, 0, 5]
+        message = (
+            "trace steps[2]: branch counts {'one_zero': -3, 'equal': 7, 'ratio': 0, 'degenerate': 5} are not a "
+            "step's: each lies in 0..2, degenerate <= ratio and one_zero + equal + ratio == 2"
+        )
+        with pytest.raises(DomainError) as raised:
+            SimulationTrace.from_arrays(trace.w, trace.r, branches, trace.start)
+        assert str(raised.value) == message
+        steps = list(trace.steps)
+        steps[2] = TraceStep(steps[2].timestamp, steps[2].performance, steps[2].influence, BranchCounts(0, 0, 1, 2))
+        with pytest.raises(DomainError, match=r"trace steps\[2\]: branch counts .* are not a step's"):
+            SimulationTrace(steps)
 
     def test_integral_floats_accepted(self):
         trace = random_trace(np.random.default_rng(10), steps=3)
@@ -800,6 +948,54 @@ class TestCsvReader:
     def test_header_and_rows_required(self, reader, text):
         with pytest.raises(ParseError, match="empty|header"):
             reader(text)
+
+
+def _cells(values) -> str:
+    """The CSV row format the one-%-per-row writer replaced, kept as its
+    oracle: ``format(x, ".17g")`` per cell."""
+    return ",".join([format(x, ".17g") for x in values])
+
+
+CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 123456789.0]
+)
+
+
+class TestCsvRows:
+    """Every CSV writer formats a row with one ``%`` operation; the old
+    per-cell ``format`` is its reference, byte for byte."""
+
+    @given(
+        rows=st.integers(0, 6).flatmap(
+            lambda width: st.lists(st.lists(CSV_FLOATS, min_size=width, max_size=width), max_size=6)
+        ),
+        start=st.none() | st.integers(-(2**70), 2**70),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(rows=[[-0.0, 5e-324, 1e308, -1e308, 2.0, 1e16]], start=None)
+    @example(rows=[[-0.0], [5e-324], [-1.7976931348623157e308]], start=2)
+    @example(rows=[[]], start=None)
+    def test_matches_the_per_cell_format(self, rows, start):
+        width = len(rows[0]) if rows else 3
+        header = [f"S{k + 1}" for k in range(width)]
+        if start is None:
+            want = [_cells(row) for row in rows]
+        else:
+            header = ["t", *header]
+            want = [f"{start + k},{_cells(row)}" for k, row in enumerate(rows)]
+        timestamps = None if start is None else range(start, start + len(rows))
+        assert _csv(header, rows, timestamps) == "\n".join([",".join(header), *want]) + "\n"
+
+    def test_writers_keep_their_bytes(self):
+        values = [[-0.0, 5e-324, 1e308], [-1e308, 2.0, 0.1]]
+        assert write_matrix(np.array(values)) == "S1,S2,S3\n" + "\n".join(map(_cells, values)) + "\n"
+        table = SeriesTable((3, 7), [[0.0, 5e-324], [1.0, 0.1]], [1.0, 5e-324])
+        assert write_series(table) == "t,S1,S2,IHDI\n3,0,4.9406564584124654e-324,1\n7,1,0.10000000000000001,4.9406564584124654e-324\n"
+        trace = random_trace(np.random.default_rng(5), steps=3, n=2)
+        want = [f"{t},{_cells([*s.performance.values.tolist(), *s.influence.entries.ravel().tolist()])}"
+                for t, s in zip(range(2, 5), trace.steps)]
+        assert write_trace(trace, "table") == "t,W1,W2,R11,R12,R21,R22\n" + "\n".join(want) + "\n"
 
 
 class _TaggedFloat(float):

@@ -3,9 +3,13 @@
 ``simulate`` stacks each step's state into ``SimulationTrace.w``, ``r``
 and ``branches``; the properties here rebuild the same run one ``step``
 at a time, as ``TraceStep`` objects, and require bit-for-bit equality.
-The observation matrices are checked against the per-step expressions
-they replace, and malformed traces must be refused with the exception
-type and message they had when every step was an object.
+A second property rebuilds the run from the specification alone: the
+scalar ``update_relationship`` cell by cell and the public, fully checking
+constructors, so a check that the step no longer makes shows up as a
+missing exception.  The observation matrices are checked against the
+per-step expressions they replace, and malformed traces must be refused
+with the exception type and message they had when every step was an
+object.
 """
 
 import json
@@ -13,10 +17,12 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossimpact import (
+    Branch,
+    BranchCounts,
     CrossImpactError,
     DomainError,
     InfluenceMatrix,
@@ -34,6 +40,7 @@ from crossimpact import (
     parse_trace,
     simulate,
     step,
+    update_relationship,
     write_trace,
 )
 from crossimpact.analysis import OBSERVATION_DESIGNS, observation_matrix
@@ -134,6 +141,162 @@ class TestArrayTraceMatchesSteps:
             SimulationTrace.from_arrays(trace.w, r, trace.branches, 2)
         with pytest.raises(ShapeError, match="share one subsystem count"):
             SimulationTrace.from_arrays(trace.w[:, :4], trace.r, trace.branches, 2)
+
+
+# magnitudes from nothing to the binary64 limit, so that runs overflow
+# partway through: a strength ratio, an aggregate or a policy sum
+TINY_TO_HUGE = [0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e300, 1.7e308]
+
+
+def build_scenario(n, w0, w1, r1, u, policy, clamp, normalize_w, eps_delta, horizon) -> Scenario:
+    r1 = np.array(r1, dtype=float).reshape(n, n)
+    np.fill_diagonal(r1, 1.0)
+    return Scenario(
+        subsystems=SubsystemSet(tuple(f"s{k}" for k in range(n))),
+        w0=PerformanceVector(w0, 0),
+        w1=PerformanceVector(w1, 1),
+        r1=InfluenceMatrix(r1, 1),
+        utility=UtilityMatrix(np.array(u, dtype=float).reshape(n, n)),
+        policy={s: PolicyIntervention(e, s) for s, e in policy.items()},
+        options=ModelOptions(clamp=clamp, eps_delta=eps_delta, normalize_w=normalize_w),
+        horizon=horizon,
+    )
+
+
+@st.composite
+def extreme_scenarios(draw):
+    n = draw(st.integers(2, 4))
+    horizon = draw(st.integers(1, 8))
+    clamp, normalize_w = draw(st.booleans()), draw(st.booleans())
+    magnitude = st.sampled_from(TINY_TO_HUGE)
+    signed = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+    perf = unit | st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) if normalize_w else signed | st.floats(-1.0, 1.0)
+    strength = unit | st.sampled_from([0.0, 5e-324, 1e-300]) if clamp else magnitude | unit
+    policy_steps = draw(st.sets(st.integers(1, horizon), max_size=3))
+    return build_scenario(
+        n,
+        draw(st.lists(perf, min_size=n, max_size=n)),
+        draw(st.lists(perf, min_size=n, max_size=n)),
+        draw(st.lists(strength, min_size=n * n, max_size=n * n)),
+        draw(st.lists(signed | st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)),
+        {s: draw(st.lists(signed | st.floats(-0.5, 0.5), min_size=n, max_size=n)) for s in policy_steps},
+        clamp,
+        normalize_w,
+        draw(st.sampled_from([1e-300, 1e-12, 1e-9, 1e-3, 1.0, 1e300])),
+        horizon,
+    )
+
+
+def specified(scenario: Scenario) -> SimulationTrace:
+    """The run as the specification states it: ``update_relationship`` on
+    every off-diagonal cell, the aggregate, emphasis and clipping of
+    ``step``'s docstring, and the public constructors with all their
+    copies and checks."""
+    utility, opts = scenario.resolved_utility(), scenario.options
+    w_prev, w_curr, r_curr = scenario.w0, scenario.w1, scenario.r1
+    n, steps = scenario.size, []
+    with np.errstate(all="ignore"):
+        for s in range(1, scenario.horizon + 1):
+            t = r_curr.timestamp + 1
+            deltas = (w_curr.values - w_prev.values).tolist()
+            entries = np.ones((n, n))
+            branches = {Branch.ONE_ZERO: 0, Branch.EQUAL: 0, Branch.RATIO: 0}
+            degenerate = 0
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        cell = update_relationship(deltas[i], deltas[j], float(r_curr.entries[i, j]), opts)
+                        entries[i, j] = cell.value
+                        branches[cell.branch] += 1
+                        degenerate += cell.degenerate
+            r_next = InfluenceMatrix(entries, t)
+            values = PerformanceVector(np.einsum("ij,ij->i", r_next.entries, utility.entries), t).values
+            if s in scenario.policy:
+                values = values + scenario.policy[s].emphasis
+            if opts.normalize_w:
+                values = np.clip(values, 0.0, 1.0)
+            counts = BranchCounts(branches[Branch.ONE_ZERO], branches[Branch.EQUAL], branches[Branch.RATIO], degenerate)
+            steps.append(TraceStep(t, PerformanceVector(values, t), r_next, counts))
+            w_prev, w_curr, r_curr = w_curr, steps[-1].performance, r_next
+    return SimulationTrace(steps)
+
+
+def first_steps(scenario: Scenario, horizon: int) -> Scenario:
+    """The same scenario, run for its first ``horizon`` steps only."""
+    policy = {s: p for s, p in scenario.policy.items() if s <= horizon}
+    return Scenario(
+        scenario.subsystems, scenario.w0, scenario.w1, scenario.r1, scenario.utility, policy, scenario.options, horizon
+    )
+
+
+# Runs whose first step succeeds and whose second fails, one per check the
+# step keeps: an unclamped strength ratio, the aggregate, a policy sum
+# without clipping, and a performance delta overflow.
+PARTWAY_FAILURES = {
+    "strength": (
+        build_scenario(2, [0.5, 0.5], [0.5, 0.5], [1.0, 1e-308, 0.5, 1.0], [1.0, 0.0, 0.0, 0.75], {}, False, True, 1e-9, 4),
+        "influence entries must all be finite",
+    ),
+    "aggregate": (
+        build_scenario(
+            2, [-2.0, -1e-300], [-0.5, 1e300], [1.0, 0.25, 0.25, 1.0], [-1.7e308, -1.7e308, -1.7e308, 0.0], {},
+            True, False, 1e-9, 4,
+        ),
+        "performance values must all be finite",
+    ),
+    "policy-sum": (
+        build_scenario(
+            2, [0.5, 0.5], [0.5, 0.5], [1.0, 0.5, 0.5, 1.0], [1e308, 0.0, 0.0, 1e308], {2: [1.7e308, 1.7e308]},
+            True, False, 1e-9, 4,
+        ),
+        "performance values must all be finite",
+    ),
+    "delta": (
+        build_scenario(2, [0.0, 0.0], [1e308, 1e308], [1.0, 0.0, 0.0, 1.0], [-1e308, 0.0, 0.0, -1e308], {}, True, False, 1e-9, 4),
+        "relationship update requires finite deltas and strength",
+    ),
+}
+
+
+class TestLeanStepMatchesTheSpecification:
+    @given(scenario=extreme_scenarios())
+    @settings(max_examples=300, deadline=None)
+    @example(scenario=PARTWAY_FAILURES["strength"][0])
+    @example(scenario=PARTWAY_FAILURES["aggregate"][0])
+    @example(scenario=PARTWAY_FAILURES["policy-sum"][0])
+    @example(scenario=PARTWAY_FAILURES["delta"][0])
+    # a clamped ratio that overflows: x = dw_i / (dw_j * 1e-308)
+    @example(
+        scenario=build_scenario(
+            3, [0.5] * 3, [0.7, 0.6, 0.45], [1.0, 1e-308, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5, 1.0], [1 / 3] * 9, {},
+            True, True, 1e-9, 5,
+        )
+    )
+    def test_simulate_equals_the_specified_run(self, scenario):
+        trace = outcome(simulate, scenario, scenario.horizon)
+        reference = outcome(specified, scenario)
+        if isinstance(reference, tuple):
+            assert trace == reference
+            return
+        for layout in ("table", "structured"):
+            assert write_trace(trace, layout) == write_trace(reference, layout)
+        assert trace.branches.tolist() == reference.branches.tolist()
+
+    @pytest.mark.parametrize("name", sorted(PARTWAY_FAILURES))
+    def test_partway_failures_keep_their_messages(self, name):
+        scenario, message = PARTWAY_FAILURES[name]
+        assert simulate(first_steps(scenario, 1), 1) == specified(first_steps(scenario, 1))
+        for run in (lambda: simulate(scenario, scenario.horizon), lambda: specified(scenario)):
+            with pytest.raises(DomainError) as raised:
+                run()
+            assert str(raised.value) == message
+
+    def test_step_outputs_are_frozen_and_checked_once(self, example_matrix, uniform_utility):
+        scenario = self_consistent_scenario(example_matrix, uniform_utility)
+        w_next, r_next, _ = step(scenario.w0, scenario.w1, scenario.r1, uniform_utility, None, scenario.options)
+        for array in (w_next.values, r_next.entries):
+            assert not array.flags.writeable
+        assert w_next == PerformanceVector(w_next.values, 2) and r_next == InfluenceMatrix(r_next.entries, 2)
 
 
 def oracle_observations(trace: SimulationTrace, design: str) -> np.ndarray:
