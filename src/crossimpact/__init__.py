@@ -6,11 +6,9 @@ composite-index quality against the measured series.
 """
 
 from .analysis import (
-    Centrality,
     InfluenceRanking,
     QualityPoint,
     TrendReport,
-    influence_centrality,
     influence_ranking,
     jacobi_eigendecomposition,
     quality_coefficient,

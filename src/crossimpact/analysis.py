@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CrossImpactError, DegenerateRankingError, DomainError, InputError, ShapeError
-from .model import InfluenceMatrix, PerformanceVector, SimulationTrace
+from .model import PerformanceVector, SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario_io import SeriesTable
@@ -112,7 +112,7 @@ def trend(series: list[QualityPoint], slope_eps: float = 1e-3) -> TrendReport:
     Satisfiable means every point in the window is at or above the 0.9
     floor and the trend is not decreasing.  ``slope_eps`` is the dead
     band around zero slope that still counts as stationary; it must be a
-    finite number >= 0.
+    finite number >= 0.  A slope that overflows is a numerical failure.
     """
     if not (math.isfinite(slope_eps) and slope_eps >= 0.0):
         raise DomainError(f"slope_eps must be a finite number >= 0, got {slope_eps}")
@@ -126,8 +126,11 @@ def trend(series: list[QualityPoint], slope_eps: float = 1e-3) -> TrendReport:
             )
     x = np.array([p.timestamp for p in points], dtype=float)
     y = np.array([p.qc for p in points], dtype=float)
-    xc = x - x.mean()
-    slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    if not math.isfinite(slope):
+        raise CrossImpactError("the trend of the quality coefficients overflows: coefficients too large to fit a slope")
     if slope > slope_eps:
         classification = "increasing"
     elif slope < -slope_eps:
@@ -259,16 +262,3 @@ def influence_ranking(trace: SimulationTrace, design: str = "column-sums") -> In
         raise InputError(f"ranking needs a trace of at least 2 steps, got {len(trace)}")
     return ranking_from_observations(observation_matrix(trace, design), trace.size, design)
 
-
-class Centrality(NamedTuple):
-    """Off-diagonal row/column totals of one strength matrix."""
-
-    exerted: np.ndarray   # per subsystem j: strength it exerts on the others
-    received: np.ndarray  # per subsystem i: strength incident on it
-
-
-def influence_centrality(matrix: InfluenceMatrix) -> Centrality:
-    diag = np.diagonal(matrix.entries)
-    exerted = matrix.entries.sum(axis=0) - diag
-    received = matrix.entries.sum(axis=1) - diag
-    return Centrality(exerted, received)

@@ -344,7 +344,6 @@ def tune_initial_r(
     sweeps_used = []
     notes: list[str] = []
     for i in range(n):
-        entries[i, i] = 1.0
         residual, sweeps, row_notes = _tune_row(
             i, entries[i], utility.entries[i], float(w_curr.values[i]), policy, opts
         )

@@ -4,8 +4,8 @@ Machine output (tables or JSON documents, all re-parseable by this
 package) goes to standard output or ``--out``; human diagnostics go to
 standard error.  Exit codes: 0 on success, 1 for input or validation
 problems, 2 for numerical failures such as non-convergence, infeasible
-rows, a degenerate ranking or one whose covariance overflows.  Identical
-invocations on identical inputs produce identical machine output.
+rows, a degenerate ranking, or a ranking or quality trend that overflows.
+Identical invocations on identical inputs produce identical machine output.
 """
 
 from __future__ import annotations

@@ -59,6 +59,19 @@ def _built(cls, timestamp: int, name: str, array: np.ndarray):
     return obj
 
 
+def _fields_equal(self, other):
+    """Value equality over a dataclass's fields: arrays by shape and
+    elements (``np.array_equal``, so -0.0 equals 0.0), everything else by
+    ``==``.  A class body that sets ``__eq__`` to this leaves the class
+    unhashable."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
+
+
 def _square(n: int, m: int) -> int:
     """The size of an n x m strength matrix, which must be square with n >= 2."""
     if n != m or n < 2:
@@ -124,10 +137,7 @@ class PerformanceVector:
     def size(self) -> int:
         return self.values.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerformanceVector):
-            return NotImplemented
-        return self.timestamp == other.timestamp and np.array_equal(self.values, other.values)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +168,7 @@ class InfluenceMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InfluenceMatrix):
-            return NotImplemented
-        return self.timestamp == other.timestamp and np.array_equal(self.entries, other.entries)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +189,7 @@ class UtilityMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UtilityMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,14 +205,7 @@ class PolicyIntervention:
         if not np.isfinite(self.emphasis).all():
             raise DomainError("policy emphasis must be finite")
 
-    @classmethod
-    def zero(cls, size: int, timestamp: int = 0) -> "PolicyIntervention":
-        return cls(np.zeros(size), timestamp)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolicyIntervention):
-            return NotImplemented
-        return self.timestamp == other.timestamp and np.array_equal(self.emphasis, other.emphasis)
+    __eq__ = _fields_equal
 
 
 class Branch(IntEnum):
@@ -314,16 +311,17 @@ def stack_steps(timestamps, ws, rs) -> tuple[np.ndarray, np.ndarray, int]:
     return np.array(ws, dtype=float), np.array(rs, dtype=float), timestamps[0]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Ordered per-step outputs of a simulation run, as stacked arrays.
 
     ``w`` (T, n) holds the performance vectors, ``r`` (T, n, n) the
     strength matrices and ``branches`` (T, 4) the update counts (one_zero,
     equal, ratio, degenerate) of the steps with timestamps ``start`` ..
-    ``start + T - 1``.  The stacks are read-only and checked once, with
-    the rules of ``trace_rules``.  ``steps`` gives the same run as
-    ``TraceStep`` objects, built on first use.
+    ``start + T - 1``.  The constructor keeps the arrays it is given,
+    without a copy, makes them read-only and checks them once, with the
+    rules of ``trace_rules`` and ``branch_fault``.  ``steps`` gives the
+    same run as ``TraceStep`` objects, built on first use.
     """
 
     w: np.ndarray
@@ -331,28 +329,8 @@ class SimulationTrace:
     branches: np.ndarray
     start: int
 
-    def __init__(self, steps):
-        steps = tuple(steps)
-        for s in steps:
-            if s.timestamp != s.performance.timestamp or s.timestamp != s.influence.timestamp:
-                raise SequencingError(f"trace step {s.timestamp} carries mismatched timestamps")
-        w, r, start = stack_steps(
-            [s.timestamp for s in steps], [s.performance.values for s in steps], [s.influence.entries for s in steps]
-        )
-        counts = [(s.branches.one_zero, s.branches.equal, s.branches.ratio, s.branches.degenerate) for s in steps]
-        self._freeze(w, r, counts, start)
-        vars(self)["steps"] = steps
-
-    @classmethod
-    def from_arrays(cls, w, r, branches, start: int) -> "SimulationTrace":
-        """A trace from its stacks; it keeps and freezes the arrays it is given."""
-        trace = cls.__new__(cls)
-        trace._freeze(w, r, branches, start)
-        return trace
-
-    def _freeze(self, w, r, branches, start) -> None:
-        """Check the stacks once and keep them, read-only."""
-        w, r, branches = np.asarray(w, dtype=float), np.asarray(r, dtype=float), branch_stack(branches)
+    def __post_init__(self):
+        w, r, branches = np.asarray(self.w, dtype=float), np.asarray(self.r, dtype=float), branch_stack(self.branches)
         if r.ndim != 3 or len(r) == 0:
             raise ShapeError(f"trace strengths must be a (T, n, n) stack with T >= 1, got shape {r.shape}")
         n = _square(*r.shape[1:])
@@ -366,7 +344,7 @@ class SimulationTrace:
             raise DomainError(fault)
         for array in (w, r, branches):
             array.setflags(write=False)
-        vars(self).update(w=w, r=r, branches=branches, start=int(start))
+        vars(self).update(w=w, r=r, branches=branches, start=int(self.start))
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -382,15 +360,7 @@ class SimulationTrace:
     def __len__(self) -> int:
         return self.w.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimulationTrace):
-            return NotImplemented
-        return (
-            self.start == other.start
-            and np.array_equal(self.w, other.w)
-            and np.array_equal(self.r, other.r)
-            and np.array_equal(self.branches, other.branches)
-        )
+    __eq__ = _fields_equal
 
 
 def compute_weights(influence: InfluenceMatrix, utility: UtilityMatrix) -> PerformanceVector:
@@ -612,4 +582,4 @@ def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
             rs.append(r_next.entries)
             counts.append((c.one_zero, c.equal, c.ratio, c.degenerate))
             w_prev, w_curr, r_curr = w_curr, w_next, r_next
-    return SimulationTrace.from_arrays(np.array(ws), np.array(rs), counts, start)
+    return SimulationTrace(np.array(ws), np.array(rs), counts, start)

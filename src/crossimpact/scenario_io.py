@@ -44,6 +44,7 @@ from .model import (
     SimulationTrace,
     SubsystemSet,
     UtilityMatrix,
+    _fields_equal,
     branch_fault,
     branch_stack,
     stack_steps,
@@ -181,19 +182,7 @@ class Scenario:
             out.append(f"r1 must carry timestamp 1, got {self.r1.timestamp}")
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.subsystems == other.subsystems
-            and self.w0 == other.w0
-            and self.w1 == other.w1
-            and self.r1 == other.r1
-            and self.utility == other.utility
-            and self.policy == other.policy
-            and self.options == other.options
-            and self.horizon == other.horizon
-        )
+    __eq__ = _fields_equal
 
 
 def _scenario_violations(
@@ -443,14 +432,7 @@ class SeriesTable:
     def performance_at(self, row: int) -> PerformanceVector:
         return PerformanceVector(self.values[row], self.timestamps[row])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesTable):
-            return NotImplemented
-        if self.timestamps != other.timestamps or not np.array_equal(self.values, other.values):
-            return False
-        if (self.ihdi is None) != (other.ihdi is None):
-            return False
-        return self.ihdi is None or np.array_equal(self.ihdi, other.ihdi)
+    __eq__ = _fields_equal
 
 
 def series_rules(t: np.ndarray, values: np.ndarray, ihdi: np.ndarray | None, normalized: bool = False):
@@ -699,7 +681,7 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
     fault = branch_fault(branches, w.shape[1])
     if fault is not None:
         raise ParseError(fault)
-    trace = SimulationTrace.from_arrays(w, r, branches, start)
+    trace = SimulationTrace(w, r, branches, start)
     size = _integral(doc.get("size"), "trace 'size'")
     if size != trace.size:
         raise ParseError(f"trace 'size' is {size}, but its steps have {trace.size} subsystems")
@@ -717,7 +699,7 @@ def _parse_trace_table(text: str) -> SimulationTrace:
     w, r = body[:, 1 : n + 1], body[:, n + 1 :].reshape(-1, n, n)
     branches = np.zeros((len(rows), len(BRANCH_FIELDS)), dtype=np.int64)
     try:
-        return SimulationTrace.from_arrays(w, r, branches, int(t[0, 0]))
+        return SimulationTrace(w, r, branches, int(t[0, 0]))
     except DomainError:
         columns = {"w": (w, header[1 : n + 1]), "r": (r, header[n + 1 :])}
         for stack, mask, _, rule in trace_rules(w, r):

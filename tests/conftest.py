@@ -1,20 +1,21 @@
 """Shared fixtures: a reference example strength matrix, self-consistent
 scenarios, and random-instance builders used across tests."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from crossimpact import (
-    BranchCounts,
     InfluenceMatrix,
     PerformanceVector,
     Scenario,
     SimulationTrace,
     SubsystemSet,
-    TraceStep,
     UtilityMatrix,
     compute_weights,
 )
+from crossimpact.model import stack_steps
 
 # Example 5x5 strength grid used throughout the documentation and tests
 # (unit diagonal, entries on the normalized 0..1 scale).
@@ -59,25 +60,26 @@ def self_consistent_scenario(
     )
 
 
+def trace_of(steps) -> SimulationTrace:
+    """The trace of ``TraceStep`` objects with consecutive timestamps."""
+    w, r, start = stack_steps(
+        [s.timestamp for s in steps], [s.performance.values for s in steps], [s.influence.entries for s in steps]
+    )
+    return SimulationTrace(w, r, [astuple(s.branches) for s in steps], start)
+
+
 def random_trace(rng: np.random.Generator, steps: int = 8, n: int = 5) -> SimulationTrace:
-    """Hand-built valid trace (not simulator output): random monotone
-    timestamps starting at 2, random strengths and performance, and branch
-    counts that a step of n subsystems can produce."""
-    out = []
+    """Hand-built valid trace (not simulator output): timestamps starting
+    at 2, random strengths and performance, and branch counts that a step
+    of n subsystems can produce."""
+    w, r, counts = [], [], []
     cells = n * (n - 1)
-    for k in range(steps):
-        t = 2 + k
+    for _ in range(steps):
         one_zero = min(int(rng.integers(0, 5)), cells)
         equal = min(int(rng.integers(0, 5)), cells - one_zero)
         ratio = cells - one_zero - equal
         rng.integers(0, 5)  # a spare draw, which keeps the strengths each seed gives
-        counts = BranchCounts(one_zero, equal, ratio, min(int(rng.integers(0, 2)), ratio))
-        out.append(
-            TraceStep(
-                t,
-                PerformanceVector(rng.uniform(0.0, 1.0, size=n), t),
-                random_influence(rng, n, t),
-                counts,
-            )
-        )
-    return SimulationTrace(tuple(out))
+        counts.append((one_zero, equal, ratio, min(int(rng.integers(0, 2)), ratio)))
+        w.append(rng.uniform(0.0, 1.0, size=n))
+        r.append(random_influence(rng, n).entries)
+    return SimulationTrace(np.array(w), np.array(r), counts, 2)

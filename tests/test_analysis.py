@@ -22,14 +22,13 @@ from crossimpact import (
     ShapeError,
     SimulationTrace,
     TraceStep,
-    influence_centrality,
     influence_ranking,
     jacobi_eigendecomposition,
     quality_coefficient,
     trend,
 )
 from crossimpact.analysis import ranking_from_observations
-from conftest import random_trace
+from conftest import random_trace, trace_of
 
 
 class TestQualityCoefficient:
@@ -294,7 +293,7 @@ def varying_column_trace(rng: np.random.Generator, column: int, steps: int = 12)
                 BranchCounts(equal=20),
             )
         )
-    return SimulationTrace(tuple(out))
+    return trace_of(out)
 
 
 class TestInfluenceRanking:
@@ -326,18 +325,15 @@ class TestInfluenceRanking:
         rng = np.random.default_rng(5)
         base = varying_column_trace(rng, 0, steps=4)
         first = base.steps[0].influence.entries
-        frozen = SimulationTrace(
-            tuple(
-                TraceStep(s.timestamp, s.performance, InfluenceMatrix(first, s.timestamp), s.branches)
-                for s in base.steps
-            )
+        frozen = trace_of(
+            [TraceStep(s.timestamp, s.performance, InfluenceMatrix(first, s.timestamp), s.branches) for s in base.steps]
         )
         with pytest.raises(DegenerateRankingError):
             influence_ranking(frozen)
 
     def test_short_trace_rejected(self):
         rng = np.random.default_rng(6)
-        single = SimulationTrace(varying_column_trace(rng, 0, steps=1).steps[:1])
+        single = trace_of(varying_column_trace(rng, 0, steps=1).steps[:1])
         with pytest.raises(InputError):
             influence_ranking(single)
 
@@ -372,14 +368,3 @@ class TestInfluenceRanking:
         assert sum(ranking.explained_variance) == pytest.approx(1.0, abs=1e-9)
         assert all(0.0 <= r <= 1.0 + 1e-12 for r in ranking.explained_variance)
 
-
-class TestCentrality:
-    def test_example_totals(self, example_matrix):
-        centrality = influence_centrality(example_matrix)
-        assert centrality.exerted[1] == pytest.approx(0.9 + 0.6 + 0.5 + 0.6, abs=1e-12)
-        assert centrality.received[0] == pytest.approx(0.9 + 0.1 + 0.3 + 0.2, abs=1e-12)
-
-    def test_identity_all_zero(self):
-        centrality = influence_centrality(InfluenceMatrix(np.eye(5)))
-        assert np.array_equal(centrality.exerted, np.zeros(5))
-        assert np.array_equal(centrality.received, np.zeros(5))

@@ -24,7 +24,7 @@ from crossimpact import (
     write_trace,
 )
 from crossimpact.cli import main
-from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario
+from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario, trace_of
 from crossimpact import InfluenceMatrix
 
 
@@ -212,6 +212,26 @@ class TestQcCommand:
         out = capsys.readouterr()
         assert out.out == "" and "quality coefficient overflows" in out.err
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # finite coefficients near 1e308 whose mean overflows: the slope is nan
+            ["0,1,1,1e-308", "1,1,1,1e-308", "2,1,1,2e-308"],
+            # a product of a 2**52 time offset and a 1e299 spread: the slope is -inf
+            ["0,0.5,0.5,1e-300", "4503599627370495,0.4,0.4,1e-300"],
+        ],
+        ids=["nan", "-inf"],
+    )
+    def test_overflowing_trend_exits_two_without_warning(self, rows, tmp_path, capsys):
+        path = tmp_path / "tiny-index.csv"
+        path.write_text("\n".join(["t,S1,S2,IHDI", *rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["qc", "--series", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "Warning" not in out.err
+        assert out.err == "error: the trend of the quality coefficients overflows: coefficients too large to fit a slope\n"
+
 
 class TestRankCommand:
     def test_varying_subsystem_ranked_first(self, tmp_path, capsys):
@@ -220,7 +240,7 @@ class TestRankCommand:
         base = np.full((5, 5), 0.5)
         np.fill_diagonal(base, 1.0)
         steps = []
-        from crossimpact import BranchCounts, PerformanceVector, SimulationTrace, TraceStep
+        from crossimpact import BranchCounts, PerformanceVector, TraceStep
 
         for k in range(10):
             entries = np.array(base)
@@ -237,7 +257,7 @@ class TestRankCommand:
                 )
             )
         trace_path = tmp_path / "trace.json"
-        trace_path.write_text(write_trace(SimulationTrace(tuple(steps)), "structured"))
+        trace_path.write_text(write_trace(trace_of(steps), "structured"))
         assert main(["rank", "--trace", str(trace_path)]) == 0
         ranking = parse_ranking(capsys.readouterr().out)
         assert ranking.order[0] == 2
@@ -274,7 +294,7 @@ class TestRankCommand:
     )
     def test_overflowing_ranking_exits_two_without_warning(self, rows, message, tmp_path, capsys):
         n = 3 if len(rows[0].split(",")) == 9 else 2
-        trace = SimulationTrace.from_arrays(
+        trace = SimulationTrace(
             np.full((len(rows), n), 0.5),
             np.array([[float(v) for v in row.split(",")] for row in rows]).reshape(-1, n, n),
             np.zeros((len(rows), 4), dtype=int),
@@ -304,7 +324,7 @@ class TestRankCommand:
     def test_extreme_strengths_rank_or_exit_two(self, cells, n, steps, design, tmp_path_factory):
         r = np.array(cells[: steps * n * n]).reshape(steps, n, n)
         r[:, np.arange(n), np.arange(n)] = 1.0
-        trace = SimulationTrace.from_arrays(np.full((steps, n), 0.5), r, np.zeros((steps, 4), dtype=int), 2)
+        trace = SimulationTrace(np.full((steps, n), 0.5), r, np.zeros((steps, 4), dtype=int), 2)
         path = tmp_path_factory.mktemp("rank") / "trace.csv"
         path.write_text(write_trace(trace, "table"))
         err = io.StringIO()

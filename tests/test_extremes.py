@@ -62,7 +62,7 @@ def inputs(draw):
     }
     if scenario["u"] == "matrix":
         scenario["u"] = grid(signed)
-    index = st.sampled_from([5e-324, 1e-300, 1.0]) | st.floats(1e-300, 1.0)
+    index = st.sampled_from([5e-324, 1e-308, 1e-300, 1.0]) | st.floats(1e-300, 1.0)
     series = [cells(n, unit) + [draw(index)] for _ in range(draw(st.integers(2, 4)))]
     trace = [cells(n, unit) + sum(grid(magnitude), []) for _ in range(draw(st.integers(2, 4)))]
     trace_header = ["t", *(f"W{k + 1}" for k in range(n)), *(f"R{i + 1}{j + 1}" for i in range(n) for j in range(n))]
@@ -117,6 +117,8 @@ def _run(argv: list[str]) -> tuple[int, str]:
         ],
     )
 )
+# coefficients near 1e308 whose trend overflows
+@example(case=({"series": "t,S1,S2,IHDI\n0,1,1,1e-308\n1,1,1,1e-308\n2,1,1,2e-308\n"}, [["qc", "--series", "{series}"]]))
 def test_every_command_exits_cleanly_at_the_extremes(case, tmp_path_factory):
     files, commands = case
     directory = tmp_path_factory.mktemp("extremes")

@@ -17,7 +17,9 @@ from crossimpact import (
     PolicyIntervention,
     Scenario,
     SequencingError,
+    SeriesTable,
     ShapeError,
+    SimulationTrace,
     SubsystemSet,
     UtilityMatrix,
     ValidationError,
@@ -78,6 +80,130 @@ class TestTypes:
     def test_matrix_is_immutable(self, example_matrix):
         with pytest.raises(ValueError):
             example_matrix.entries[0, 1] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# Equality: every field compared, arrays by shape and value
+# ---------------------------------------------------------------------------
+
+_SCENARIO = {
+    "subsystems": SubsystemSet(("a", "b")),
+    "w0": PerformanceVector([0.5, 0.0], 0),
+    "w1": PerformanceVector([0.5, 0.5], 1),
+    "r1": InfluenceMatrix([[1.0, 0.5], [0.25, 1.0]], 1),
+    "utility": UtilityMatrix([[0.5, -0.5], [0.0, 1.0]]),
+    "policy": {1: PolicyIntervention([0.1, 0.0], 1)},
+    "options": ModelOptions(),
+    "horizon": 3,
+}
+
+# per value type: its constructor, the fields of one instance (lists, so
+# every instance gets arrays of its own), the same fields each changed in
+# turn, and a change of a 0.0 to -0.0, which numpy compares equal
+VALUE_TYPES = {
+    "PerformanceVector": (
+        PerformanceVector,
+        {"values": [0.5, 0.25, 0.0], "timestamp": 3},
+        {"values": [0.5, 0.25, 1.0], "timestamp": 4},
+        {"values": [0.5, 0.25, -0.0]},
+    ),
+    "InfluenceMatrix": (
+        InfluenceMatrix,
+        {"entries": [[1.0, 0.5], [0.0, 1.0]], "timestamp": 1},
+        {"entries": [[1.0, 0.5], [0.25, 1.0]], "timestamp": 2},
+        {"entries": [[1.0, 0.5], [-0.0, 1.0]]},
+    ),
+    "UtilityMatrix": (
+        UtilityMatrix,
+        {"entries": [[0.5, -0.5], [0.0, 1.0]]},
+        {"entries": [[0.5, -0.5], [0.5, 1.0]]},
+        {"entries": [[0.5, -0.5], [-0.0, 1.0]]},
+    ),
+    "PolicyIntervention": (
+        PolicyIntervention,
+        {"emphasis": [0.1, 0.0], "timestamp": 2},
+        {"emphasis": [0.1, 0.2], "timestamp": 3},
+        {"emphasis": [0.1, -0.0]},
+    ),
+    "SimulationTrace": (
+        SimulationTrace,
+        {
+            "w": [[0.5, 0.25], [0.0, 1.0]],
+            "r": [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.75], [0.25, 1.0]]],
+            "branches": [[0, 2, 0, 0], [1, 1, 0, 0]],
+            "start": 2,
+        },
+        {
+            "w": [[0.5, 0.25], [0.5, 1.0]],
+            "r": [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.75], [0.25, 1.0]]],
+            "branches": [[0, 2, 0, 0], [0, 0, 2, 1]],
+            "start": 3,
+        },
+        {"w": [[0.5, 0.25], [-0.0, 1.0]], "r": [[[1.0, 0.5], [-0.0, 1.0]], [[1.0, 0.75], [0.25, 1.0]]]},
+    ),
+    "SeriesTable": (
+        SeriesTable,
+        {"timestamps": (0, 1), "values": [[0.5, 0.25], [0.0, 1.0]], "ihdi": [0.5, 0.75]},
+        {"timestamps": (0, 2), "values": [[0.5, 0.25], [0.5, 1.0]], "ihdi": [0.5, 1.0]},
+        {"values": [[0.5, 0.25], [-0.0, 1.0]]},
+    ),
+    "Scenario": (
+        Scenario,
+        _SCENARIO,
+        {
+            "subsystems": SubsystemSet(("a", "c")),
+            "w0": PerformanceVector([0.5, 0.25], 0),
+            "w1": PerformanceVector([0.5, 0.5], 2),
+            "r1": InfluenceMatrix([[1.0, 0.5], [0.5, 1.0]], 1),
+            "utility": None,
+            "policy": {},
+            "options": ModelOptions(clamp=False),
+            "horizon": 4,
+        },
+        {"w0": PerformanceVector([0.5, -0.0], 0)},
+    ),
+}
+
+
+def _value(name: str, **changes):
+    build, fields_, _, _ = VALUE_TYPES[name]
+    return build(**{**fields_, **changes})
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+class TestEqualityContract:
+    def test_equal_copies_compare_equal(self, name):
+        a, b = _value(name), _value(name)
+        assert a == b and b == a
+        assert not (a != b)
+
+    def test_each_field_changed_compares_unequal(self, name):
+        _, fields_, changed, _ = VALUE_TYPES[name]
+        assert set(changed) == set(fields_)
+        for field, value in changed.items():
+            a, b = _value(name), _value(name, **{field: value})
+            assert a != b and b != a, field
+            assert not (a == b) and not (b == a), field
+
+    def test_another_type_is_not_implemented(self, name):
+        value = _value(name)
+        assert value.__eq__(object()) is NotImplemented
+        assert value != object() and not (value == object())
+
+    def test_instances_are_unhashable(self, name):
+        with pytest.raises(TypeError):
+            hash(_value(name))
+
+    def test_negative_zero_equals_zero(self, name):
+        _, _, _, negative_zero = VALUE_TYPES[name]
+        assert _value(name, **negative_zero) == _value(name)
+
+
+def test_a_series_with_ihdi_differs_from_one_without():
+    with_ihdi, without = _value("SeriesTable"), _value("SeriesTable", ihdi=None)
+    assert with_ihdi != without and without != with_ihdi
+    assert not (with_ihdi == without) and not (without == with_ihdi)
+    assert without == _value("SeriesTable", ihdi=None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossimpact import (
-    BranchCounts,
     CalibrationReport,
     DomainError,
     InfluenceMatrix,
@@ -23,7 +22,6 @@ from crossimpact import (
     ShapeError,
     SimulationTrace,
     SubsystemSet,
-    TraceStep,
     TuneResult,
     UtilityMatrix,
     ValidationError,
@@ -531,12 +529,8 @@ class TestTraceRoundTrip:
             "step's: each lies in 0..2, degenerate <= ratio and one_zero + equal + ratio == 2"
         )
         with pytest.raises(DomainError) as raised:
-            SimulationTrace.from_arrays(trace.w, trace.r, branches, trace.start)
+            SimulationTrace(trace.w, trace.r, branches, trace.start)
         assert str(raised.value) == message
-        steps = list(trace.steps)
-        steps[2] = TraceStep(steps[2].timestamp, steps[2].performance, steps[2].influence, BranchCounts(0, 0, 1, 2))
-        with pytest.raises(DomainError, match=r"trace steps\[2\]: branch counts .* are not a step's"):
-            SimulationTrace(steps)
 
     def test_integral_floats_accepted(self):
         trace = random_trace(np.random.default_rng(10), steps=3)

@@ -46,7 +46,7 @@ from crossimpact import (
 from crossimpact.analysis import OBSERVATION_DESIGNS, observation_matrix
 from crossimpact.cli import main
 from crossimpact.scenario_io import _may_hold_booleans
-from conftest import random_trace, self_consistent_scenario
+from conftest import random_trace, self_consistent_scenario, trace_of
 
 unit = st.floats(0.0, 1.0)
 
@@ -74,7 +74,7 @@ def scenarios(draw):
     )
 
 
-def stepwise(scenario: Scenario) -> SimulationTrace:
+def stepwise(scenario: Scenario) -> list[TraceStep]:
     """The run as the engine built it before traces were stacked: one
     ``TraceStep`` per ``step`` call."""
     utility = scenario.resolved_utility()
@@ -85,7 +85,7 @@ def stepwise(scenario: Scenario) -> SimulationTrace:
             w_next, r_next, counts = step(w_prev, w_curr, r_curr, utility, scenario.policy.get(s), scenario.options)
             steps.append(TraceStep(w_next.timestamp, w_next, r_next, counts))
             w_prev, w_curr, r_curr = w_curr, w_next, r_next
-    return SimulationTrace(steps)
+    return steps
 
 
 def outcome(run, *args):
@@ -100,17 +100,18 @@ class TestArrayTraceMatchesSteps:
     @settings(max_examples=150, deadline=None)
     def test_simulate_equals_the_stepwise_trace(self, scenario):
         trace = outcome(simulate, scenario, scenario.horizon)
-        reference = outcome(stepwise, scenario)
+        steps = outcome(stepwise, scenario)
+        reference = steps if isinstance(steps, tuple) else outcome(trace_of, steps)
         if isinstance(reference, tuple):
             assert trace == reference
             return
         assert trace == reference
-        assert trace.start == reference.steps[0].timestamp == 2
-        assert [s.timestamp for s in trace.steps] == [s.timestamp for s in reference.steps]
-        assert trace.w.tobytes() == np.array([s.performance.values for s in reference.steps]).tobytes()
-        assert trace.r.tobytes() == np.array([s.influence.entries for s in reference.steps]).tobytes()
-        assert trace.steps == reference.steps
-        assert trace.branches.tolist() == [list(astuple(s.branches)) for s in reference.steps]
+        assert trace.start == steps[0].timestamp == 2
+        assert [s.timestamp for s in trace.steps] == [s.timestamp for s in steps]
+        assert trace.w.tobytes() == np.array([s.performance.values for s in steps]).tobytes()
+        assert trace.r.tobytes() == np.array([s.influence.entries for s in steps]).tobytes()
+        assert trace.steps == tuple(steps)
+        assert trace.branches.tolist() == [list(astuple(s.branches)) for s in steps]
 
     def test_steps_are_built_on_demand(self, example_matrix, uniform_utility):
         trace = simulate(self_consistent_scenario(example_matrix, uniform_utility), 4)
@@ -125,22 +126,24 @@ class TestArrayTraceMatchesSteps:
                 array[0] = 0
 
     def test_constructors_agree(self):
-        steps = random_trace(np.random.default_rng(2), steps=4).steps
-        from_steps = SimulationTrace(steps)
-        w, r, branches = from_steps.w.copy(), from_steps.r.copy(), from_steps.branches.copy()
-        from_arrays = SimulationTrace.from_arrays(w, r, branches, 2)
-        assert from_steps == from_arrays
-        assert from_arrays.steps == steps
-        assert from_arrays != SimulationTrace.from_arrays(from_steps.w, from_steps.r, from_steps.branches, 3)
+        # the stacks and the steps view describe one run; the constructor
+        # keeps the arrays it is given and makes them read-only
+        trace = random_trace(np.random.default_rng(2), steps=4)
+        w, r, branches = trace.w.copy(), trace.r.copy(), trace.branches.copy()
+        again = SimulationTrace(w, r, branches, 2)
+        assert again.w is w and again.r is r and again.branches is branches and not w.flags.writeable
+        assert again == trace and trace_of(again.steps) == trace
+        assert again.steps == trace.steps
+        assert again != SimulationTrace(trace.w, trace.r, trace.branches, 3)
 
-    def test_from_arrays_checks_the_stacks(self):
+    def test_the_constructor_checks_the_stacks(self):
         trace = random_trace(np.random.default_rng(3), steps=3)
         r = trace.r.copy()
         r[2, 1, 0] = -0.5
         with pytest.raises(DomainError, match="influence entries must be non-negative"):
-            SimulationTrace.from_arrays(trace.w, r, trace.branches, 2)
+            SimulationTrace(trace.w, r, trace.branches, 2)
         with pytest.raises(ShapeError, match="share one subsystem count"):
-            SimulationTrace.from_arrays(trace.w[:, :4], trace.r, trace.branches, 2)
+            SimulationTrace(trace.w[:, :4], trace.r, trace.branches, 2)
 
 
 # magnitudes from nothing to the binary64 limit, so that runs overflow
@@ -218,7 +221,7 @@ def specified(scenario: Scenario) -> SimulationTrace:
             counts = BranchCounts(branches[Branch.ONE_ZERO], branches[Branch.EQUAL], branches[Branch.RATIO], degenerate)
             steps.append(TraceStep(t, PerformanceVector(values, t), r_next, counts))
             w_prev, w_curr, r_curr = w_curr, steps[-1].performance, r_next
-    return SimulationTrace(steps)
+    return trace_of(steps)
 
 
 def first_steps(scenario: Scenario, horizon: int) -> Scenario:
@@ -315,7 +318,7 @@ def test_observation_matrix_matches_the_per_step_oracle(design, n, seed, scale):
     base = random_trace(rng, steps=6, n=n)
     r = base.r * scale * rng.uniform(0.0, 1.0, size=base.r.shape)
     r[:, np.arange(n), np.arange(n)] = 1.0
-    trace = SimulationTrace.from_arrays(base.w, r, base.branches, base.start)
+    trace = SimulationTrace(base.w, r, base.branches, base.start)
     # the table reader's stacks are views of its CSV body, so check those too
     for candidate in (trace, parse_trace(write_trace(trace, "table")), parse_trace(write_trace(trace, "structured"))):
         got, want = observation_matrix(candidate, design), oracle_observations(candidate, design)
