@@ -18,14 +18,13 @@ the engine simulates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CrossImpactError, DegenerateRankingError, DomainError, InputError, ShapeError
-from .model import PerformanceVector, SimulationTrace
+from .errors import CrossImpactError, DegenerateRankingError, DomainError, InputError
+from .model import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario_io import SeriesTable
@@ -55,45 +54,30 @@ class QualityPoint:
             )
 
 
-def quality_coefficient(
-    performance: PerformanceVector | SeriesTable, ihdi: float | np.ndarray
-) -> QualityPoint | list[QualityPoint]:
-    """Ratio of mean subsystem performance to the composite index.
+def quality_coefficient(series: SeriesTable) -> list[QualityPoint]:
+    """Ratio of mean subsystem performance to the composite index, one
+    point per row of ``series``, from a single pass over the whole table.
 
-    A ``PerformanceVector`` with one index value gives one point; a
-    ``SeriesTable`` with one index value per row (its IHDI column) gives
-    one point per row, from a single pass over the whole table.  Every
-    index must be positive and finite; indices are defined on [0, 1], so
-    values above 1 are computed but flagged with one warning.
+    The index is the table's IHDI column, which ``SeriesTable`` keeps in
+    (0, 1]; a table without it is an InputError.  A coefficient that
+    overflows is a DomainError.
     """
-    single = isinstance(performance, PerformanceVector)
-    if single:
-        timestamps, values = (performance.timestamp,), performance.values[np.newaxis]
-    else:
-        timestamps, values = performance.timestamps, performance.values
-    index = np.array(ihdi, dtype=float, ndmin=1)
-    if index.shape != (len(timestamps),):
-        raise ShapeError(f"quality audit needs one index value per row: {len(timestamps)} rows, {index.size} values")
-    bad = ~(np.isfinite(index) & (index > 0.0))
-    if bad.any():
-        raise DomainError(f"index value must be positive and finite, got {index[bad.argmax()]}")
-    above = index > 1.0
-    if above.any():
-        warnings.warn(
-            f"index value {index[above.argmax()]} exceeds 1; composite indices are defined on [0, 1]",
-            stacklevel=2,
+    if series.ihdi is None:
+        raise InputError(
+            "series lacks the IHDI column; quality auditing needs the index "
+            "(header t,S1,...,Sn,IHDI)"
         )
-    mean_w = values.mean(axis=1)
-    with np.errstate(over="ignore"):
+    index = series.ihdi
+    with np.errstate(over="ignore"):  # an infinite mean or ratio is rejected below
+        mean_w = series.values.mean(axis=1)
         qc = mean_w / index
     overflow = np.isinf(qc)
     if overflow.any():
         k = overflow.argmax()
         raise DomainError(f"quality coefficient overflows: mean performance {mean_w[k]} over index value {index[k]}")
-    points = [
-        QualityPoint(t, i, m, q) for t, i, m, q in zip(timestamps, index.tolist(), mean_w.tolist(), qc.tolist())
+    return [
+        QualityPoint(t, i, m, q) for t, i, m, q in zip(series.timestamps, index.tolist(), mean_w.tolist(), qc.tolist())
     ]
-    return points[0] if single else points
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ Two inverse problems are solved here:
   ``U[i, j] = R[i, j] * W[i] / sum_k R[i, k]**2``.
 
 * ``tune_initial_r`` — given two consecutive performance snapshots and
-  fixed utility weights, search for seed strengths whose predicted
+  fixed utility weights, search [0, 1] for seed strengths whose predicted
   performance (through a pluggable policy function) matches the later
   snapshot, then advance them one step with the strength-update rule.
-  The search is a deterministic coordinate sweep: bisection per
-  coordinate for coordinate-monotone policy functions, golden-section on
-  the absolute residual otherwise.
+  The search starts from one fixed guess (0.5 off the diagonal, 1 on it)
+  and is a deterministic coordinate sweep: bisection per coordinate for
+  coordinate-monotone policy functions, golden-section on the absolute
+  residual otherwise.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InfeasibleRowError, SequencingError, ShapeError
-from .model import (
-    DEFAULT_OPTIONS,
-    InfluenceMatrix,
-    ModelOptions,
-    PerformanceVector,
-    UtilityMatrix,
-    _updated_entries,
-)
+from .model import DEFAULT_OPTIONS, InfluenceMatrix, PerformanceVector, UtilityMatrix, _checked_update
 
 CONSTRAINT_TOL = 1e-9
 
@@ -80,17 +74,12 @@ class PolicyFunction:
 class TuneOptions:
     tol: float = 1e-6
     max_sweeps: int = 200
-    bracket: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "bracket", (float(self.bracket[0]), float(self.bracket[1])))
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise DomainError(f"tol must be positive and finite, got {self.tol}")
         if self.max_sweeps < 1:
             raise DomainError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        lo, hi = self.bracket
-        if not (0.0 <= lo < hi <= 1.0):
-            raise DomainError(f"bracket must be non-degenerate and within [0, 1], got {self.bracket}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +155,8 @@ def solve_utility_min_norm(
                 residuals.append(0.0)
                 continue
             u[i] = r[i] * (w[i] / ss)
+            if not np.isfinite(u[i]).all():
+                raise DomainError(f"row {i + 1}: the min-norm utility weights overflow")
             residuals.append(abs(_forward(r[i], u[i]) - w[i]))
     report = CalibrationReport(CONSTRAINT_TOL, tuple(residuals), (0,) * n, tuple(notes))
     return UtilityMatrix(u), report
@@ -194,6 +185,14 @@ def verify_min_norm(
     projected = np.abs(np.einsum("ij,ij->i", u_grid, grid)) / np.sqrt(np.where(rr > 0.0, rr, 1.0))
     lengths = np.linalg.norm(u_grid, axis=1)
     return bool(np.all(lengths <= projected + 1e-9 * np.maximum(lengths, 1.0)))
+
+
+def _seed_guess(n: int) -> np.ndarray:
+    """The strengths a tune search starts from: 0.5, the middle of [0, 1],
+    off the diagonal and 1 on it."""
+    guess = np.full((n, n), 0.5)
+    np.fill_diagonal(guess, 1.0)
+    return guess
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> tuple[float, float]:
@@ -245,7 +244,7 @@ def _tune_row(
     """Sweep the off-diagonal coordinates of one strength row until the
     predicted performance matches the target.  Mutates ``row`` in place
     and returns (signed residual, sweeps used, notes)."""
-    lo, hi = opts.bracket
+    lo, hi = 0.0, 1.0
     notes: list[str] = []
 
     def f_at(j: int, v: float) -> float:
@@ -291,9 +290,9 @@ def _tune_row(
                 break
         if abs(residual) > opts.tol and not crossing_seen and not moved:
             notes.append(
-                f"row {i + 1}: target unreachable within bracket "
-                f"[{lo:g}, {hi:g}] (prediction on the same side of the "
-                f"target at both ends of every coordinate)"
+                f"row {i + 1}: target unreachable within bracket [0, 1] "
+                "(prediction on the same side of the target at both ends of "
+                "every coordinate)"
             )
             break
     if abs(residual) > opts.tol and not notes:
@@ -307,21 +306,22 @@ def tune_initial_r(
     utility: UtilityMatrix,
     policy: PolicyFunction | None = None,
     opts: TuneOptions = TuneOptions(),
-    initial: InfluenceMatrix | None = None,
-    model_opts: ModelOptions = DEFAULT_OPTIONS,
 ) -> tuple[InfluenceMatrix, InfluenceMatrix, CalibrationReport]:
     """Search for seed strengths matching the later performance snapshot,
     then advance them one step.
 
-    Row by row (rows are independent), the off-diagonal coordinates are
-    swept in ascending order within ``opts.bracket`` until the policy
-    function's prediction is within ``opts.tol`` of the target; the row
-    is underdetermined, so the first feasible point reached by the
+    Every row starts from the seed guess, 0.5 off the diagonal and 1 on
+    it.  Row by row (rows are independent), the off-diagonal coordinates
+    are swept in ascending order within [0, 1] until the policy function's
+    prediction is within ``opts.tol`` of the target; the row is
+    underdetermined, so the first feasible point reached by the
     deterministic sweep is kept.  Rows that cannot converge keep their
-    best-found values and are flagged in the report.
+    best-found values and are flagged in the report; a prediction that
+    overflows is a DomainError.
 
     Returns the tuned matrix at the earlier step, the matrix advanced by
-    the strength-update rule using the two snapshots, and the report.
+    the strength-update rule (default model options) using the two
+    snapshots, and the report.
     """
     if not (w_prev.size == w_curr.size == utility.size):
         raise ShapeError("snapshot and utility sizes must agree")
@@ -329,16 +329,9 @@ def tune_initial_r(
         raise SequencingError(
             f"snapshots must be consecutive, got t={w_prev.timestamp} then t={w_curr.timestamp}"
         )
-    if initial is not None and initial.size != utility.size:
-        raise ShapeError("initial matrix size must agree with the snapshots")
     policy = policy or PolicyFunction.forward_default()
     n = utility.size
-    lo, hi = opts.bracket
-    if initial is not None:
-        entries = np.array(initial.entries)
-    else:
-        entries = np.full((n, n), 0.5 * (lo + hi))
-        np.fill_diagonal(entries, 1.0)
+    entries = _seed_guess(n)
 
     residuals = []
     sweeps_used = []
@@ -347,13 +340,14 @@ def tune_initial_r(
         residual, sweeps, row_notes = _tune_row(
             i, entries[i], utility.entries[i], float(w_curr.values[i]), policy, opts
         )
+        if not math.isfinite(residual):
+            raise DomainError(f"row {i + 1}: the predicted performance overflows")
         residuals.append(abs(residual))
         sweeps_used.append(sweeps)
         notes.extend(row_notes)
 
     tuned = InfluenceMatrix(entries, w_prev.timestamp)
-    deltas = w_curr.values - w_prev.values
-    advanced_entries, _ = _updated_entries(deltas, tuned.entries, model_opts)
+    advanced_entries, _ = _checked_update(w_prev.values, w_curr.values, tuned.entries, DEFAULT_OPTIONS)
     advanced = InfluenceMatrix(advanced_entries, w_curr.timestamp)
     report = CalibrationReport(opts.tol, tuple(residuals), tuple(sweeps_used), tuple(notes))
     return tuned, advanced, report

@@ -14,10 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import influence_ranking, quality_coefficient, trend
-from .calibration import TuneOptions, solve_utility_min_norm, tune_initial_r
+from .calibration import TuneOptions, _seed_guess, solve_utility_min_norm, tune_initial_r
 from .errors import (
     CrossImpactError,
     DomainError,
@@ -27,7 +25,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .model import BranchCounts, InfluenceMatrix, UtilityMatrix, simulate
+from .model import BranchCounts, UtilityMatrix, simulate
 from .scenario_io import (
     TuneResult,
     parse_matrix,
@@ -113,17 +111,12 @@ def cmd_tune(args) -> int:
         raise InputError("tuning needs a series with at least two rows (consecutive snapshots)")
     w_prev = series.performance_at(0)
     w_curr = series.performance_at(1)
-    n = series.size
-    lo, hi = opts.bracket
-    guess = np.full((n, n), 0.5 * (lo + hi))
-    np.fill_diagonal(guess, 1.0)
-    initial = InfluenceMatrix(guess, w_prev.timestamp)
     if args.u == "auto":
-        utility, _ = solve_utility_min_norm(initial, w_prev)
+        utility, _ = solve_utility_min_norm(_seed_guess(series.size), w_prev)
         _note("utility weights approximated from the earlier snapshot (min-norm)")
     else:
         utility = UtilityMatrix(parse_matrix(_read(args.u)))
-    r_prev, r_curr, report = tune_initial_r(w_prev, w_curr, utility, opts=opts, initial=initial)
+    r_prev, r_curr, report = tune_initial_r(w_prev, w_curr, utility, opts=opts)
     _emit(write_tune_result(TuneResult(r_prev, r_curr, report)), args.out)
     for i, residual in enumerate(report.residuals):
         _note(
@@ -138,13 +131,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    series = parse_series(_read(args.series))
-    if series.ihdi is None:
-        raise InputError(
-            "series lacks the IHDI column; quality auditing needs the index "
-            "(header t,S1,...,Sn,IHDI)"
-        )
-    points = quality_coefficient(series, series.ihdi)
+    points = quality_coefficient(parse_series(_read(args.series)))
     report = trend(points, args.slope_eps)
     _emit(write_qc_table(points), args.out)
     _note(

@@ -434,26 +434,6 @@ def update_relationship(
     return RelationshipUpdate(value, Branch.RATIO)
 
 
-def _updated_entries(
-    deltas: np.ndarray, prior: np.ndarray, opts: ModelOptions
-) -> tuple[np.ndarray, BranchCounts]:
-    """Apply ``update_relationship`` to every off-diagonal cell at once;
-    the diagonal is set to 1.
-
-    Cell (i, j) pairs ``deltas[i]`` with ``deltas[j]`` and ``prior[i, j]``.
-    Non-finite deltas or strengths and negative strengths are a
-    DomainError, as in the scalar rule.
-    """
-    if not (np.isfinite(deltas).all() and np.isfinite(prior).all()):
-        raise DomainError("relationship update requires finite deltas and strength")
-    if (prior < 0.0).any():
-        raise DomainError(f"prior strength must be non-negative, got {prior[prior < 0.0][0]}")
-    with np.errstate(all="ignore"):
-        out, counts = _update_kernel(deltas, prior, opts)
-    np.fill_diagonal(out, 1.0)
-    return out, counts
-
-
 def _update_kernel(deltas: np.ndarray, prior: np.ndarray, opts: ModelOptions) -> tuple[np.ndarray, BranchCounts]:
     """The whole-matrix update for a finite, non-negative ``prior``, run
     under ``np.errstate(all="ignore")``.  Division by zero, overflow and
@@ -495,6 +475,25 @@ def _update_kernel(deltas: np.ndarray, prior: np.ndarray, opts: ModelOptions) ->
     return out, counts
 
 
+def _checked_update(
+    w_prev: np.ndarray, w_curr: np.ndarray, prior: np.ndarray, opts: ModelOptions
+) -> tuple[np.ndarray, BranchCounts]:
+    """The one checked entry to ``_update_kernel``: the strengths ``prior``
+    (finite, non-negative, unit diagonal) advanced by the deltas between two
+    performance vectors, and the per-branch cell counts.  The result keeps
+    the unit diagonal and no entry is negative."""
+    # an overflowing delta becomes infinite and is rejected as a DomainError
+    with np.errstate(all="ignore"):
+        deltas = w_curr - w_prev
+        if not np.isfinite(deltas).all():
+            raise DomainError("relationship update requires finite deltas and strength")
+        entries, counts = _update_kernel(deltas, prior, opts)
+    # only an unclamped ratio can leave a non-finite entry
+    if not (opts.clamp or np.isfinite(entries).all()):
+        raise DomainError("influence entries must all be finite")
+    return entries, counts
+
+
 def update_matrix(
     w_prev: PerformanceVector,
     w_curr: PerformanceVector,
@@ -514,16 +513,7 @@ def update_matrix(
             f"t(w_prev)={w_prev.timestamp}, t(w_curr)={w_curr.timestamp}, "
             f"t(r)={r_curr.timestamp}"
         )
-    # an overflowing delta becomes infinite and is rejected as a DomainError
-    with np.errstate(all="ignore"):
-        deltas = w_curr.values - w_prev.values
-        if not np.isfinite(deltas).all():
-            raise DomainError("relationship update requires finite deltas and strength")
-        entries, counts = _update_kernel(deltas, r_curr.entries, opts)
-    # the kernel keeps the prior's unit diagonal and no entry is negative;
-    # only an unclamped ratio can leave a non-finite entry
-    if not (opts.clamp or np.isfinite(entries).all()):
-        raise DomainError("influence entries must all be finite")
+    entries, counts = _checked_update(w_prev.values, w_curr.values, r_curr.entries, opts)
     return _built(InfluenceMatrix, r_curr.timestamp + 1, "entries", entries), counts
 
 

@@ -416,7 +416,7 @@ class SeriesTable:
             raise ShapeError(f"series values must be 2-dimensional, got shape {values.shape}")
         if len(self.timestamps) != values.shape[0]:
             raise ShapeError("series needs one timestamp per row")
-        if self.ihdi is not None and self.ihdi.shape[0] != values.shape[0]:
+        if self.ihdi is not None and self.ihdi.shape != (values.shape[0],):
             raise ShapeError("series needs one IHDI value per row when the column is present")
         for _, mask, rule, _ in series_rules(np.asarray(self.timestamps), values, self.ihdi):
             if mask.any():
@@ -532,9 +532,9 @@ def _refuse(mask: np.ndarray, values: np.ndarray, names: list[str], rows: list[i
         raise ParseError(f"line {rows[i]}: {names[j]} = {value} {rule}")
 
 
-def parse_series(text: str, normalized: bool = True) -> SeriesTable:
-    """Parse a ``t,S1,...,Sn[,IHDI]`` table (at least one subsystem).  When
-    ``normalized`` the performance cells must lie in [0, 1]."""
+def parse_series(text: str) -> SeriesTable:
+    """Parse a ``t,S1,...,Sn[,IHDI]`` table (at least one subsystem) whose
+    performance cells lie in [0, 1]."""
     header, body, rows = _read_table(
         text, "series", lambda h: _series_header(max(len(h) - 1 - (h[-1] == "IHDI"), 1), h[-1] == "IHDI")
     )
@@ -542,7 +542,7 @@ def parse_series(text: str, normalized: bool = True) -> SeriesTable:
     n = len(header) - 1 - has_ihdi
     t, values, ihdi = body[:, 0], body[:, 1 : n + 1], body[:, n + 1] if has_ihdi else None
     columns = {"t": (t, ["t"]), "values": (values, header[1 : n + 1]), "ihdi": (ihdi, ["IHDI"])}
-    for column, mask, _, rule in series_rules(t, values, ihdi, normalized):
+    for column, mask, _, rule in series_rules(t, values, ihdi, True):  # with the [0, 1] range
         array, names = columns[column]
         _refuse(mask.reshape(len(rows), -1), array.reshape(len(rows), -1), names, rows, rule)
     return SeriesTable(t.tolist(), values, ihdi)

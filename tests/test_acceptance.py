@@ -146,13 +146,12 @@ def test_criterion_5_quality_identity():
     with criterion(5, "quality-coefficient identity"):
         rng = np.random.default_rng(555)
         for _ in range(1000):
-            point = quality_coefficient(
-                PerformanceVector(rng.uniform(0.0, 1.0, 5), 0),
-                float(rng.uniform(0.05, 1.0)),
+            [point] = quality_coefficient(
+                SeriesTable([0], [rng.uniform(0.0, 1.0, 5)], [float(rng.uniform(0.05, 1.0))])
             )
             scale = max(abs(point.mean_w), 1e-300)
             assert abs(point.qc * point.ihdi - point.mean_w) <= 1e-12 * scale
-        exact_case = quality_coefficient(PerformanceVector(np.full(5, 0.72), 0), 0.8)
+        [exact_case] = quality_coefficient(SeriesTable([0], [np.full(5, 0.72)], [0.8]))
         assert abs(exact_case.qc - 0.9) <= 1e-12
 
 

@@ -1,7 +1,6 @@
 """Quality coefficient, trend classification, eigendecomposition and ranking."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from crossimpact import (
     DomainError,
     InfluenceMatrix,
     InputError,
+    ParseError,
     PerformanceVector,
     QualityPoint,
     SeriesTable,
@@ -28,31 +28,37 @@ from crossimpact import (
     trend,
 )
 from crossimpact.analysis import ranking_from_observations
+from crossimpact.cli import main
 from conftest import random_trace, trace_of
+
+
+def _audit(values, ihdi, t: int = 0) -> QualityPoint:
+    """The quality point of one performance vector against one index value."""
+    [point] = quality_coefficient(SeriesTable([t], [values], [ihdi]))
+    return point
 
 
 class TestQualityCoefficient:
     def test_example_ratio(self):
-        point = quality_coefficient(PerformanceVector(np.full(5, 0.72), 3), 0.8)
+        point = _audit(np.full(5, 0.72), 0.8, t=3)
         assert point.qc == pytest.approx(0.9, abs=1e-12)
         assert point.timestamp == 3
 
     def test_ideal_unity(self):
-        point = quality_coefficient(PerformanceVector(np.full(5, 0.5), 0), 0.5)
-        assert point.qc == 1.0
+        assert _audit(np.full(5, 0.5), 0.5).qc == 1.0
 
     def test_zero_performance(self):
-        assert quality_coefficient(PerformanceVector(np.zeros(5), 0), 0.5).qc == 0.0
+        assert _audit(np.zeros(5), 0.5).qc == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, float("nan")])
     def test_nonpositive_index_rejected(self, bad):
-        with pytest.raises(DomainError):
-            quality_coefficient(PerformanceVector(np.full(5, 0.5), 0), bad)
+        # the audit reads its index from a series table, which keeps it in (0, 1]
+        with pytest.raises(ParseError, match=re.escape("IHDI values must lie in (0, 1]")):
+            _audit(np.full(5, 0.5), bad)
 
-    def test_index_above_one_warns_but_computes(self):
-        with pytest.warns(UserWarning):
-            point = quality_coefficient(PerformanceVector(np.full(5, 0.6), 0), 1.2)
-        assert point.qc == pytest.approx(0.5, rel=1e-12)
+    def test_missing_index_column(self):
+        with pytest.raises(InputError, match="series lacks the IHDI column"):
+            quality_coefficient(SeriesTable([0, 1], np.full((2, 3), 0.5)))
 
     def test_inconsistent_point_rejected(self):
         with pytest.raises(DomainError):
@@ -64,13 +70,13 @@ class TestQualityCoefficient:
     )
     def test_identity_holds_for_every_point(self, seed, ihdi):
         rng = np.random.default_rng(seed)
-        point = quality_coefficient(PerformanceVector(rng.uniform(0, 1, 5), 0), ihdi)
+        point = _audit(rng.uniform(0, 1, 5), ihdi)
         scale = max(abs(point.mean_w), 1e-300)
         assert abs(point.qc * point.ihdi - point.mean_w) <= 1e-12 * scale
 
 
 def _oracle(series: SeriesTable) -> list[QualityPoint]:
-    """The per-row rule the series form replaces: one ``np.mean`` per row."""
+    """The per-row rule the audit replaces: one ``np.mean`` per row."""
     points = []
     for k, t in enumerate(series.timestamps):
         mean_w = float(np.mean(series.values[k]))
@@ -91,8 +97,8 @@ def audited_series(draw) -> SeriesTable:
 
 
 class TestSeriesQualityCoefficient:
-    """The series form computes every row's mean in one ``mean(axis=1)``
-    pass; the per-row ``np.mean`` rule is its oracle."""
+    """The audit computes every row's mean in one ``mean(axis=1)`` pass;
+    the per-row ``np.mean`` rule is its oracle."""
 
     @pytest.mark.parametrize("n", ROW_WIDTHS)
     def test_row_means_equal_per_row_means_bit_for_bit(self, n):
@@ -105,52 +111,40 @@ class TestSeriesQualityCoefficient:
     @given(series=audited_series())
     @settings(max_examples=150, deadline=None)
     def test_both_forms_match_the_per_row_oracle(self, series):
-        points = quality_coefficient(series, series.ihdi)
+        # the whole table in one call, and each row as a table of its own
+        points = quality_coefficient(series)
         assert points == _oracle(series)
-        assert [quality_coefficient(series.performance_at(k), ihdi) for k, ihdi in enumerate(series.ihdi)] == points
-
-    def test_vector_form_gives_one_point_and_series_form_a_list(self):
-        series = SeriesTable([4, 7], [[0.5, 0.7], [0.25, 0.75]], [0.8, 0.5])
-        assert quality_coefficient(series.performance_at(1), 0.5) == QualityPoint(7, 0.5, 0.5, 1.0)
-        points = quality_coefficient(series, series.ihdi)
-        assert isinstance(points, list) and points == _oracle(series)
+        rows = zip(series.values, series.ihdi, series.timestamps)
+        assert [_audit(values, ihdi, t) for values, ihdi, t in rows] == points
 
     @pytest.mark.parametrize("bad", [0.0, -0.0, -0.2, float("nan"), float("inf"), float("-inf")])
-    def test_bad_index_names_the_first_bad_value(self, bad):
-        series = SeriesTable([0, 1, 2, 3], np.full((4, 3), 0.5))
-        message = f"index value must be positive and finite, got {bad}"
-        with pytest.raises(DomainError, match=re.escape(message)):
-            quality_coefficient(series, [0.5, bad, 0.7, -1.0])
-        with pytest.raises(DomainError, match=re.escape(message)):
-            quality_coefficient(series.performance_at(1), bad)
-
-    def test_index_above_one_gives_one_warning(self):
-        series = SeriesTable([0, 1, 2], np.full((3, 2), 0.6))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            points = quality_coefficient(series, [1.2, 0.5, 1.5])
-        assert [str(w.message) for w in caught] == [
-            "index value 1.2 exceeds 1; composite indices are defined on [0, 1]"
-        ]
-        assert [p.qc for p in points] == [0.6 / 1.2, 0.6 / 0.5, 0.6 / 1.5]
-        assert caught[0].filename == __file__
+    def test_bad_index_names_the_first_bad_value(self, bad, tmp_path, capsys):
+        # the qc command's series reader names the line and value of the
+        # first bad index, not of a later one
+        path = tmp_path / "series.csv"
+        rows = (f"{t},0.5,0.5,0.5,{v!r}\n" for t, v in enumerate([0.5, bad, 0.7, -1.0]))
+        path.write_text("t,S1,S2,S3,IHDI\n" + "".join(rows))
+        assert main(["qc", "--series", str(path)]) == 1
+        rule = "is outside (0, 1]" if np.isfinite(bad) else "is not a finite number"
+        assert capsys.readouterr().err == f"error: line 3: IHDI = {repr(bad).removesuffix('.0')} {rule}\n"
 
     @pytest.mark.parametrize("ihdi", [[0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]]])
     def test_one_index_value_per_row(self, ihdi):
-        series = SeriesTable([0, 1, 2], np.full((3, 2), 0.6))
-        with pytest.raises(ShapeError, match="one index value per row"):
-            quality_coefficient(series, ihdi)
-        with pytest.raises(ShapeError, match="one index value per row"):
-            quality_coefficient(series.performance_at(0), ihdi[:2])
+        with pytest.raises(ShapeError, match="one IHDI value per row"):
+            SeriesTable([0, 1, 2], np.full((3, 2), 0.6), ihdi)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_coefficient_rejected(self):
         # 0.5 / 5e-324 is not a binary64; an infinite coefficient would
         # reach the quality table, which cannot read it back
         with pytest.raises(DomainError, match="quality coefficient overflows"):
-            quality_coefficient(PerformanceVector(np.full(3, 0.5), 0), 5e-324)
-        series = SeriesTable([0, 1], np.full((2, 2), 0.5))
+            _audit(np.full(3, 0.5), 5e-324)
+        series = SeriesTable([0, 1], np.full((2, 2), 0.5), [0.5, 1e-310])
         with pytest.raises(DomainError, match="quality coefficient overflows"):
-            quality_coefficient(series, [0.5, 1e-310])
+            quality_coefficient(series)
+        # a table need not be normalized, so its mean can overflow too
+        with pytest.raises(DomainError, match="mean performance inf"):
+            _audit(np.full(2, 1e308), 0.5)
 
 
 def _points(qc_values, t0: int = 0) -> list[QualityPoint]:

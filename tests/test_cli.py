@@ -117,6 +117,16 @@ class TestCalibrateCommand:
         w_path.write_text("t,S1,S2,S3,S4,S5\n0,0.5,0.38,0.42,0.34,0.5\n")
         assert main(["calibrate", "--r", str(r_path), "--w", str(w_path)]) == 1
 
+    def test_overflowing_weights_exit_one(self, tmp_path, capsys):
+        # the sum of squares of row 2 is subnormal, so 0.4 over it overflows
+        r_path = tmp_path / "r.csv"
+        r_path.write_text("S1,S2\n1,0.5\n1e-160,1e-170\n")
+        w_path = tmp_path / "w.csv"
+        w_path.write_text("t,S1,S2\n0,0.5,0.4\n")
+        assert main(["calibrate", "--r", str(r_path), "--w", str(w_path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: row 2: the min-norm utility weights overflow\n"
+
 
 class TestTuneCommand:
     def _forward_series(self, tmp_path, seed=0):
@@ -159,7 +169,7 @@ class TestTuneCommand:
         argv = ["tune", "--series", str(tmp_path / "series.csv"), "--u", str(tmp_path / "u.csv")]
         assert main(argv) == 1
         out = capsys.readouterr()
-        assert out.out == "" and "residuals must be finite" in out.err
+        assert out.out == "" and out.err == "error: row 1: the predicted performance overflows\n"
 
     def test_negative_tol_exits_one(self, quality_series_file, capsys):
         assert main(["tune", "--series", quality_series_file, "--tol", "-1"]) == 1

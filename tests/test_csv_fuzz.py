@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from crossimpact import (
     ParseError,
-    PerformanceVector,
     SeriesTable,
     parse_matrix,
     parse_qc_table,
@@ -51,10 +50,10 @@ def _document(kind: str, rng: np.random.Generator, n: int, rows: int) -> str:
         return write_matrix(random_influence(rng, n).entries)
     if kind == "trace":
         return write_trace(random_trace(rng, steps=rows, n=n), "table")
-    points = [
-        quality_coefficient(PerformanceVector(rng.uniform(0.0, 1.0, size=n), t), float(rng.uniform(0.1, 1.0)))
-        for t in range(rows)
-    ]
+    points = []
+    for t in range(rows):  # row by row, values before index: the draw order the seeds rely on
+        values = rng.uniform(0.0, 1.0, size=n)
+        points += quality_coefficient(SeriesTable([t], [values], [float(rng.uniform(0.1, 1.0))]))
     return write_qc_table(points)
 
 

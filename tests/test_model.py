@@ -31,7 +31,7 @@ from crossimpact import (
     write_trace,
 )
 from crossimpact.cli import main
-from crossimpact.model import _updated_entries
+from crossimpact.model import _checked_update
 from conftest import random_influence, self_consistent_scenario
 
 UNCLAMPED = ModelOptions(clamp=False)
@@ -64,6 +64,9 @@ class TestTypes:
             InfluenceMatrix(bad_diag)
         nonfinite = np.eye(3)
         nonfinite[0, 1] = np.inf
+        with pytest.raises(DomainError):
+            InfluenceMatrix(nonfinite)
+        nonfinite[0, 1] = np.nan
         with pytest.raises(DomainError):
             InfluenceMatrix(nonfinite)
         with pytest.raises(ShapeError):
@@ -405,9 +408,15 @@ def _scalar_entries(deltas, prior, opts):
 
 def _assert_kernel_matches_scalar_rule(deltas, prior, opts):
     deltas = np.asarray(deltas, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    got, got_counts = _updated_entries(deltas, prior, opts)
+    prior = np.array(prior, dtype=float)
+    np.fill_diagonal(prior, 1.0)  # the checked entry takes a strength matrix
     want, want_counts = _scalar_entries(deltas, prior, opts)
+    w_prev = np.zeros_like(deltas)  # so w_curr - w_prev is each delta, -0.0 included
+    if not np.isfinite(want).all():  # an unclamped ratio that overflows
+        with pytest.raises(DomainError, match="influence entries must all be finite"):
+            _checked_update(w_prev, deltas, prior, opts)
+        return
+    got, got_counts = _checked_update(w_prev, deltas, prior, opts)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got_counts == want_counts
 
@@ -441,7 +450,7 @@ def _kernel_cases(draw):
 
 
 class TestUpdateKernel:
-    """``_updated_entries`` applies the scalar rule to a whole matrix; the
+    """``_checked_update`` applies the scalar rule to a whole matrix; the
     per-cell ``update_relationship`` is its reference, bit for bit."""
 
     @given(case=_kernel_cases())
@@ -478,14 +487,12 @@ class TestUpdateKernel:
         [
             ([np.nan, 0.1], [[1.0, 0.5], [0.5, 1.0]]),
             ([0.1, np.inf], [[1.0, 0.5], [0.5, 1.0]]),
-            ([0.1, 0.2], [[1.0, np.nan], [0.5, 1.0]]),
-            ([0.1, 0.2], [[1.0, 0.5], [-0.5, 1.0]]),
         ],
-        ids=["nan-delta", "inf-delta", "nan-prior", "negative-prior"],
+        ids=["nan-delta", "inf-delta"],
     )
     def test_domain_errors(self, deltas, prior):
-        with pytest.raises(DomainError):
-            _updated_entries(np.array(deltas), np.array(prior), ModelOptions())
+        with pytest.raises(DomainError, match="finite deltas"):
+            _checked_update(np.zeros(2), np.array(deltas), np.array(prior), ModelOptions())
 
     def test_overflowing_delta_is_a_domain_error(self):
         big = ModelOptions(normalize_w=False)

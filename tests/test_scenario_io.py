@@ -291,8 +291,8 @@ class TestParseSeries:
         text = "t,S1,S2\n0,1.5,0.4\n"
         with pytest.raises(ParseError):
             parse_series(text)
-        table = parse_series(text, normalized=False)
-        assert table.values[0, 0] == 1.5
+        # the table type itself does not require [0, 1]
+        assert SeriesTable([0], [[1.5, 0.4]]).values[0, 0] == 1.5
 
     def test_ihdi_range(self):
         with pytest.raises(ParseError):
@@ -320,11 +320,15 @@ class TestParseSeries:
             ((0, 1), [[0.5, 0.4]] * 2, [0.5, np.nan], ParseError, "IHDI values must lie in (0, 1]"),
             ((0, 1), [[0.5, 0.4]] * 2, [0.5, np.inf], ParseError, "IHDI values must lie in (0, 1]"),
             ((0, 1), [[0.5, 0.4]] * 2, [0.5], ShapeError, "series needs one IHDI value per row when the column is present"),
+            # the IHDI column must be 1-D: a scalar, a (T, 1) and a (T, 2) column
+            ((0,), [[0.5, 0.5]], 0.5, ShapeError, "series needs one IHDI value per row when the column is present"),
+            ((0, 1), [[0.5, 0.4]] * 2, [[0.5]] * 2, ShapeError, "series needs one IHDI value per row when the column is present"),
+            ((0, 1), [[0.5, 0.4]] * 2, [[0.5, 0.5]] * 2, ShapeError, "series needs one IHDI value per row when the column is present"),
             ((0,), [[0.5, 0.4]] * 2, None, ShapeError, "series needs one timestamp per row"),
             ((0, 1), [0.5, 0.4], None, ShapeError, "series values must be 2-dimensional, got shape (2,)"),
         ],
         ids=["nan", "-inf", "repeated-t", "backwards-t", "huge-t", "ihdi-0", "ihdi-1.5", "ihdi-nan", "ihdi-inf",
-             "ihdi-short", "t-short", "values-1d"],
+             "ihdi-short", "ihdi-scalar", "ihdi-column", "ihdi-two-wide", "t-short", "values-1d"],
     )
     def test_series_table_rules(self, timestamps, values, ihdi, kind, message):
         with pytest.raises(kind) as raised:
