@@ -44,8 +44,8 @@ class QualityPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "timestamp", int(self.timestamp))
-        if not (self.ihdi > 0.0) or not math.isfinite(self.ihdi):
-            raise DomainError(f"index value must be positive and finite, got {self.ihdi}")
+        if not (0.0 < self.ihdi <= 1.0):
+            raise DomainError(f"index value must lie in (0, 1], got {self.ihdi}")
         scale = max(abs(self.mean_w), abs(self.qc * self.ihdi), 1e-300)
         if abs(self.qc * self.ihdi - self.mean_w) > QC_IDENTITY_RTOL * scale:
             raise DomainError(
@@ -60,7 +60,7 @@ def quality_coefficient(series: SeriesTable) -> list[QualityPoint]:
 
     The index is the table's IHDI column, which ``SeriesTable`` keeps in
     (0, 1]; a table without it is an InputError.  A coefficient that
-    overflows is a DomainError.
+    overflows is a numerical failure (a CrossImpactError).
     """
     if series.ihdi is None:
         raise InputError(
@@ -74,7 +74,9 @@ def quality_coefficient(series: SeriesTable) -> list[QualityPoint]:
     overflow = np.isinf(qc)
     if overflow.any():
         k = overflow.argmax()
-        raise DomainError(f"quality coefficient overflows: mean performance {mean_w[k]} over index value {index[k]}")
+        raise CrossImpactError(
+            f"quality coefficient overflows: mean performance {mean_w[k]} over index value {index[k]}"
+        )
     return [
         QualityPoint(t, i, m, q) for t, i, m, q in zip(series.timestamps, index.tolist(), mean_w.tolist(), qc.tolist())
     ]

@@ -11,6 +11,7 @@ Identical invocations on identical inputs produce identical machine output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -154,7 +155,11 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process.  It holds no per-call state: ``parse_args`` puts
+    each call's values into a fresh namespace."""
     parser = _Parser(prog="crossimpact", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,9 +1,11 @@
 """Command-line behaviour: exit codes, output contracts, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ from crossimpact import (
     write_series,
     write_trace,
 )
+from crossimpact import cli
 from crossimpact.cli import main
 from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario, trace_of
 from crossimpact import InfluenceMatrix
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 @pytest.fixture
@@ -215,12 +220,13 @@ class TestQcCommand:
         assert out.out == ""
         assert f"error: slope_eps must be a finite number >= 0, got {float(eps)}" in out.err
 
-    def test_overflowing_coefficient_exits_one(self, tmp_path, capsys):
+    def test_overflowing_coefficient_exits_two(self, tmp_path, capsys):
         path = tmp_path / "tiny-index.csv"
         path.write_text("t,S1,S2,IHDI\n0,0.5,0.4,5e-324\n1,0.5,0.4,0.8\n")
-        assert main(["qc", "--series", str(path)]) == 1
+        assert main(["qc", "--series", str(path)]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "quality coefficient overflows" in out.err
+        assert out.out == ""
+        assert out.err == "error: quality coefficient overflows: mean performance 0.45 over index value 5e-324\n"
 
     @pytest.mark.parametrize(
         "rows",
@@ -366,3 +372,65 @@ class TestMachineOutputSelfCompatibility:
         parse_qc_table(qc_path.read_text())
 
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it must be
+    invisible: every call behaves as it would on a freshly built parser."""
+
+    @pytest.fixture
+    def calls(self, tmp_path, scenario_file):
+        # a quality coefficient rising by 0.01 a step: stationary within a
+        # dead band of 0.5, increasing within the default 1e-3
+        values = np.repeat(0.72 + 0.008 * np.arange(6.0)[:, None], 5, axis=1)
+        series = SeriesTable(tuple(range(6)), values, np.full(6, 0.8))
+        series_path = tmp_path / "series.csv"
+        series_path.write_text(write_series(series))
+        r_path = tmp_path / "r.csv"
+        r_path.write_text(write_matrix(np.array(EXAMPLE_STRENGTHS)))
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(write_trace(random_trace(np.random.default_rng(0))))
+        return [
+            ["simulate", "--scenario", scenario_file, "--horizon", "3"],
+            ["simulate", "--scenario", scenario_file],
+            ["qc", "--series", str(series_path), "--no-such-flag"],
+            ["qc", "--series", str(series_path), "--slope-eps", "0.5"],
+            ["qc", "--series", str(series_path)],
+            ["calibrate", "--r", str(r_path), "--w", str(series_path)],
+            ["tune", "--series", str(series_path), "--u", "auto"],
+            ["rank", "--trace", str(trace_path)],
+        ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_reused_parser_behaves_like_a_fresh_one(self, calls, capsys):
+        cli.build_parser.cache_clear()
+        reused = [self._run(argv, capsys) for argv in calls]
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0, 0]
+        assert reused[2][2].startswith("error: unrecognized arguments: --no-such-flag")
+        assert "simulated 3 steps" in reused[0][2] and "simulated 10 steps" in reused[1][2]
+        assert "trend=stationary" in reused[3][2] and "trend=increasing" in reused[4][2]
+
+    def test_tracer_records_one_parser_span_per_call(self, calls):
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = [main(argv) for argv in calls[3:6]]
+        finally:
+            tracer.uninstall()
+        assert codes == [0, 0, 0]
+        assert [span[3] for span in tracer.spans].count("cli.build_parser") == 3

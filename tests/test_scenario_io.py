@@ -909,6 +909,12 @@ class TestCsvReader:
         with pytest.raises(ParseError, match="line 3: inconsistent quality point"):
             parse_qc_table("t,MEAN_W,IHDI,QC\n1,0.5,0.8,0.625\n2,0.5,0.8,0.9\n")
 
+    def test_quality_index_must_lie_in_unit_interval(self):
+        # the rule a series' IHDI column follows, so qc can write no such row
+        with pytest.raises(ParseError, match=re.escape("line 2: index value must lie in (0, 1], got 1.5")):
+            parse_qc_table("t,MEAN_W,IHDI,QC\n0,0.6,1.5,0.4\n1,3,2,1.5\n")
+        assert parse_qc_table("t,MEAN_W,IHDI,QC\n0,0.6,1,0.6\n") == [QualityPoint(0, 1.0, 0.6, 0.6)]
+
     def test_quality_header_is_compared_after_stripping(self):
         points = [QualityPoint(1, 0.8, 0.5, 0.625)]
         assert parse_qc_table(" t , MEAN_W ,IHDI,QC \n1,0.5,0.8,0.625\n") == points
