@@ -45,7 +45,6 @@ from .model import (
     SimulationTrace,
     StepResult,
     SubsystemSet,
-    TraceStep,
     UtilityMatrix,
     compute_weights,
     simulate,

@@ -14,9 +14,10 @@ Two inverse problems are solved here:
   performance (through a pluggable policy function) matches the later
   snapshot, then advance them one step with the strength-update rule.
   The search starts from one fixed guess (0.5 off the diagonal, 1 on it)
-  and is a deterministic coordinate sweep: bisection per coordinate for
-  coordinate-monotone policy functions, golden-section on the absolute
-  residual otherwise.
+  and is a deterministic coordinate sweep.  The policy function must be
+  monotone in each strength coordinate, as the strength-weighted sum is
+  (it is linear in each one), so each coordinate is bisected where the
+  residual changes sign on [0, 1] and otherwise moved to the nearer end.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .errors import DomainError, InfeasibleRowError, SequencingError, ShapeError
 from .model import DEFAULT_OPTIONS, InfluenceMatrix, PerformanceVector, UtilityMatrix, _checked_update
 
 CONSTRAINT_TOL = 1e-9
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _forward(r_row: np.ndarray, u_row: np.ndarray) -> float:
@@ -57,17 +56,24 @@ def _strength_grid(matrix) -> np.ndarray:
 @dataclass(frozen=True)
 class PolicyFunction:
     """Evaluator predicting one subsystem's performance from its strength
-    and utility rows.  ``monotone`` declares that the prediction is
-    monotone in each strength coordinate, enabling bisection."""
+    and utility rows; the prediction must be monotone in each strength
+    coordinate, because the tune search bisects each one.  ``monotone``
+    must therefore be True.  It stays a field because the benchmark's
+    tracer builds a policy from three positional arguments; it can go
+    once the benchmark stops passing it."""
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], float]
-    monotone: bool = False
+    monotone: bool = True
+
+    def __post_init__(self):
+        if not self.monotone:
+            raise DomainError(f"policy function {self.name!r} must be monotone in each strength coordinate")
 
     @classmethod
     def forward_default(cls) -> "PolicyFunction":
         """The strength-weighted utility sum used by the simulator itself."""
-        return cls("forward-sum", _forward, monotone=True)
+        return cls("forward-sum", _forward)
 
 
 @dataclass(frozen=True)
@@ -214,25 +220,6 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi
     return mid, f(mid)
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] (unimodal assumption)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(120):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = c if fc <= fd else d
-    return x, min(fc, fd)
-
-
 def _tune_row(
     i: int,
     row: np.ndarray,
@@ -258,37 +245,26 @@ def _tune_row(
     sweeps = 0
     while abs(residual) > opts.tol and sweeps < opts.max_sweeps:
         sweeps += 1
-        crossing_seen = False
         moved = False
         for j in range(row.shape[0]):
             if j == i:
                 continue
             f_lo, f_hi = f_at(j, lo), f_at(j, hi)
-            if policy.monotone:
-                if f_lo * f_hi <= 0.0:
-                    crossing_seen = True
-                    value, f_value = _bisect(lambda v: f_at(j, v), lo, hi, f_lo, f_hi, opts.tol)
-                    row[j] = value
-                    residual = f_value
-                    moved = True
-                else:
-                    # no root on this coordinate; move to the closer end
-                    end, f_end = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-                    if abs(f_end) < abs(residual):
-                        row[j] = end
-                        residual = f_end
-                        moved = True
+            if f_lo * f_hi <= 0.0:
+                value, f_value = _bisect(lambda v: f_at(j, v), lo, hi, f_lo, f_hi, opts.tol)
+                row[j] = value
+                residual = f_value
+                moved = True
             else:
-                if f_lo * f_hi <= 0.0:
-                    crossing_seen = True
-                value, f_abs = _golden_min(lambda v: abs(f_at(j, v)), lo, hi)
-                if f_abs < abs(residual):
-                    row[j] = value
-                    residual = f_at(j, value)
+                # no root on this coordinate; move to the closer end
+                end, f_end = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+                if abs(f_end) < abs(residual):
+                    row[j] = end
+                    residual = f_end
                     moved = True
             if abs(residual) <= opts.tol:
                 break
-        if abs(residual) > opts.tol and not crossing_seen and not moved:
+        if abs(residual) > opts.tol and not moved:
             notes.append(
                 f"row {i + 1}: target unreachable within bracket [0, 1] "
                 "(prediction on the same side of the target at both ends of "

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -72,10 +71,10 @@ def _fields_equal(self, other):
     )
 
 
-def _square(n: int, m: int) -> int:
-    """The size of an n x m strength matrix, which must be square with n >= 2."""
+def _square(n: int, m: int, what: str = "influence matrix") -> int:
+    """The size of an n x m matrix, which must be square with n >= 2."""
     if n != m or n < 2:
-        raise ShapeError(f"influence matrix must be square with size >= 2, got {n}x{m}")
+        raise ShapeError(f"{what} must be square with size >= 2, got {n}x{m}")
     return n
 
 
@@ -179,9 +178,7 @@ class UtilityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, "utility entries", 2))
-        n, m = self.entries.shape
-        if n != m or n < 2:
-            raise ShapeError(f"utility matrix must be square with size >= 2, got {n}x{m}")
+        _square(*self.entries.shape, "utility matrix")
         if not np.isfinite(self.entries).all():
             raise DomainError("utility entries must all be finite")
 
@@ -239,14 +236,6 @@ BRANCH_FIELDS = tuple(f.name for f in fields(BranchCounts))
 
 
 class StepResult(NamedTuple):
-    performance: PerformanceVector
-    influence: InfluenceMatrix
-    branches: BranchCounts
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    timestamp: int
     performance: PerformanceVector
     influence: InfluenceMatrix
     branches: BranchCounts
@@ -320,8 +309,7 @@ class SimulationTrace:
     equal, ratio, degenerate) of the steps with timestamps ``start`` ..
     ``start + T - 1``.  The constructor keeps the arrays it is given,
     without a copy, makes them read-only and checks them once, with the
-    rules of ``trace_rules`` and ``branch_fault``.  ``steps`` gives the
-    same run as ``TraceStep`` objects, built on first use.
+    rules of ``trace_rules`` and ``branch_fault``.
     """
 
     w: np.ndarray
@@ -345,13 +333,6 @@ class SimulationTrace:
         for array in (w, r, branches):
             array.setflags(write=False)
         vars(self).update(w=w, r=r, branches=branches, start=int(self.start))
-
-    @cached_property
-    def steps(self) -> tuple[TraceStep, ...]:
-        return tuple(
-            TraceStep(t, PerformanceVector(w, t), InfluenceMatrix(r, t), BranchCounts(*b))
-            for t, w, r, b in zip(range(self.start, self.start + len(self)), self.w, self.r, self.branches.tolist())
-        )
 
     @property
     def size(self) -> int:

@@ -61,9 +61,9 @@ def self_consistent_scenario(
 
 
 def trace_of(steps) -> SimulationTrace:
-    """The trace of ``TraceStep`` objects with consecutive timestamps."""
+    """The trace of ``step`` results (``StepResult``) with consecutive timestamps."""
     w, r, start = stack_steps(
-        [s.timestamp for s in steps], [s.performance.values for s in steps], [s.influence.entries for s in steps]
+        [s.performance.timestamp for s in steps], [s.performance.values for s in steps], [s.influence.entries for s in steps]
     )
     return SimulationTrace(w, r, [astuple(s.branches) for s in steps], start)
 

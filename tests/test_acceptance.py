@@ -202,8 +202,7 @@ def test_criterion_8_quiescent_fixed_point(example_matrix, uniform_utility):
     with criterion(8, "quiescent fixed point over 1000 steps"):
         scenario = self_consistent_scenario(example_matrix, uniform_utility)
         trace = simulate(scenario, 1000)
-        first = trace.steps[0]
-        for s in trace.steps:
-            assert np.array_equal(s.performance.values, first.performance.values)
-            assert np.array_equal(s.influence.entries, example_matrix.entries)
-            assert s.branches == first.branches
+        for w, r, branches in zip(trace.w, trace.r, trace.branches):
+            assert np.array_equal(w, trace.w[0])
+            assert np.array_equal(r, example_matrix.entries)
+            assert np.array_equal(branches, trace.branches[0])

@@ -9,19 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crossimpact import (
-    BranchCounts,
     CrossImpactError,
     DegenerateRankingError,
     DomainError,
-    InfluenceMatrix,
     InputError,
     ParseError,
-    PerformanceVector,
     QualityPoint,
     SeriesTable,
     ShapeError,
     SimulationTrace,
-    TraceStep,
     influence_ranking,
     jacobi_eigendecomposition,
     quality_coefficient,
@@ -29,7 +25,7 @@ from crossimpact import (
 )
 from crossimpact.analysis import ranking_from_observations
 from crossimpact.cli import main
-from conftest import random_trace, trace_of
+from conftest import random_trace
 
 
 def _audit(values, ihdi, t: int = 0) -> QualityPoint:
@@ -272,24 +268,11 @@ class TestJacobi:
 
 def varying_column_trace(rng: np.random.Generator, column: int, steps: int = 12) -> SimulationTrace:
     """Only ``column``'s strengths move over time; everything else is flat."""
-    base = np.full((5, 5), 0.5)
-    np.fill_diagonal(base, 1.0)
-    out = []
+    r = np.full((steps, 5, 5), 0.5)
     for k in range(steps):
-        entries = np.array(base)
-        level = rng.uniform(0.1, 0.9)
-        for i in range(5):
-            if i != column:
-                entries[i, column] = level
-        out.append(
-            TraceStep(
-                2 + k,
-                PerformanceVector(np.full(5, 0.5), 2 + k),
-                InfluenceMatrix(entries, 2 + k),
-                BranchCounts(equal=20),
-            )
-        )
-    return trace_of(out)
+        r[k, :, column] = rng.uniform(0.1, 0.9)
+    r[:, np.arange(5), np.arange(5)] = 1.0
+    return SimulationTrace(np.full((steps, 5), 0.5), r, [(0, 20, 0, 0)] * steps, 2)  # all 20 cells equal
 
 
 class TestInfluenceRanking:
@@ -320,16 +303,14 @@ class TestInfluenceRanking:
     def test_constant_trace_degenerate(self):
         rng = np.random.default_rng(5)
         base = varying_column_trace(rng, 0, steps=4)
-        first = base.steps[0].influence.entries
-        frozen = trace_of(
-            [TraceStep(s.timestamp, s.performance, InfluenceMatrix(first, s.timestamp), s.branches) for s in base.steps]
-        )
+        frozen = SimulationTrace(base.w, np.repeat(base.r[:1], len(base), axis=0), base.branches, base.start)
         with pytest.raises(DegenerateRankingError):
             influence_ranking(frozen)
 
     def test_short_trace_rejected(self):
         rng = np.random.default_rng(6)
-        single = trace_of(varying_column_trace(rng, 0, steps=1).steps[:1])
+        base = varying_column_trace(rng, 0, steps=1)
+        single = SimulationTrace(base.w[:1], base.r[:1], base.branches[:1], base.start)
         with pytest.raises(InputError):
             influence_ranking(single)
 
@@ -337,6 +318,17 @@ class TestInfluenceRanking:
         rng = np.random.default_rng(7)
         with pytest.raises(InputError):
             influence_ranking(varying_column_trace(rng, 0), design="row-sums")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_loadings_keep_ascending_subsystem_order(self, seed):
+        # four varying columns among 53; most of the 49 flat ones tie at
+        # loading 0, enough ties that an unstable sort reorders some of them
+        observations = np.full((8, 53), 0.5)
+        observations[:, [2, 13, 16, 25]] = np.random.default_rng(seed).uniform(size=(8, 4))
+        ranking = ranking_from_observations(observations, 53, "column-sums")
+        ties = [k for k in range(52) if ranking.loadings[k] == ranking.loadings[k + 1]]
+        assert ties, "no equal loadings: the order of ties goes unchecked"
+        assert all(ranking.order[k] < ranking.order[k + 1] for k in ties)
 
     @given(seed=st.integers(0, 10**6), scale=st.floats(1e-3, 1e3, allow_nan=False))
     @settings(max_examples=40, deadline=None)

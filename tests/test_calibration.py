@@ -242,12 +242,26 @@ class TestTuneInitialR:
             assert flag == (residual <= report.tol)
         assert report.converged == (True, True, True, True, False)
 
-    def test_custom_policy_function_golden_path(self):
-        # non-default evaluator exercises the golden-section search
+    def test_bisection_runs_past_sixty_halvings(self):
+        # the root 1e-30 lies about 100 halvings below 0.5, so a bisection
+        # capped near 60 steps stops short of it and never converges
+        w_prev = PerformanceVector([0.5, 0.5], 0)
+        w_curr = PerformanceVector([1e-30, 0.25], 1)
+        utility = UtilityMatrix([[0.0, 1.0], [1.0, 0.0]])
+        tuned, _, report = tune_initial_r(w_prev, w_curr, utility, opts=TuneOptions(tol=1e-300))
+        assert report.all_converged and report.sweeps == (1, 1)
+        assert tuned.entries[0, 1] == 1e-30
+
+    def test_non_monotone_policy_rejected(self):
+        with pytest.raises(DomainError, match="policy function 'wavy' must be monotone"):
+            PolicyFunction("wavy", lambda r_row, u_row: float(np.sin(np.dot(r_row, u_row))), monotone=False)
+
+    def test_custom_policy_function(self):
+        # a non-default evaluator that is monotone in each coordinate
         def sqrt_forward(r_row, u_row):
             return float(np.sqrt(max(np.dot(r_row, u_row), 0.0)))
 
-        policy = PolicyFunction("sqrt-forward", sqrt_forward, monotone=False)
+        policy = PolicyFunction("sqrt-forward", sqrt_forward)
         utility = UtilityMatrix(np.full((5, 5), 0.2))
         w_prev = PerformanceVector(np.full(5, 0.4), 0)
         w_curr = PerformanceVector(np.full(5, 0.7), 1)  # needs dot product 0.49

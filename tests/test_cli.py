@@ -27,8 +27,7 @@ from crossimpact import (
 )
 from crossimpact import cli
 from crossimpact.cli import main
-from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario, trace_of
-from crossimpact import InfluenceMatrix
+from conftest import EXAMPLE_STRENGTHS, random_influence, random_trace, self_consistent_scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -253,27 +252,13 @@ class TestRankCommand:
     def test_varying_subsystem_ranked_first(self, tmp_path, capsys):
         # only subsystem 3's column moves across the trace
         rng = np.random.default_rng(21)
-        base = np.full((5, 5), 0.5)
-        np.fill_diagonal(base, 1.0)
-        steps = []
-        from crossimpact import BranchCounts, PerformanceVector, TraceStep
-
+        r = np.full((10, 5, 5), 0.5)
         for k in range(10):
-            entries = np.array(base)
-            level = rng.uniform(0.1, 0.9)
-            for i in range(5):
-                if i != 2:
-                    entries[i, 2] = level
-            steps.append(
-                TraceStep(
-                    2 + k,
-                    PerformanceVector(np.full(5, 0.5), 2 + k),
-                    InfluenceMatrix(entries, 2 + k),
-                    BranchCounts(equal=20),
-                )
-            )
+            r[k, :, 2] = rng.uniform(0.1, 0.9)
+        r[:, np.arange(5), np.arange(5)] = 1.0
+        trace = SimulationTrace(np.full((10, 5), 0.5), r, [(0, 20, 0, 0)] * 10, 2)  # all 20 cells equal
         trace_path = tmp_path / "trace.json"
-        trace_path.write_text(write_trace(trace_of(steps), "structured"))
+        trace_path.write_text(write_trace(trace, "structured"))
         assert main(["rank", "--trace", str(trace_path)]) == 0
         ranking = parse_ranking(capsys.readouterr().out)
         assert ranking.order[0] == 2

@@ -572,16 +572,15 @@ class TestSimulate:
         trace = simulate(scenario, 1)
         manual = step(scenario.w0, scenario.w1, scenario.r1, uniform_utility)
         assert len(trace) == 1
-        assert trace.steps[0].performance == manual.performance
-        assert trace.steps[0].influence == manual.influence
+        assert _vec(trace.w[0], trace.start) == manual.performance
+        assert InfluenceMatrix(trace.r[0], trace.start) == manual.influence
 
     def test_quiescent_constant_trace(self, example_matrix, uniform_utility):
         scenario = self_consistent_scenario(example_matrix, uniform_utility)
         trace = simulate(scenario, 100)
-        first = trace.steps[0]
-        for s in trace.steps:
-            assert np.array_equal(s.performance.values, first.performance.values)
-            assert np.array_equal(s.influence.entries, example_matrix.entries)
+        for w, r in zip(trace.w, trace.r):
+            assert np.array_equal(w, trace.w[0])
+            assert np.array_equal(r, example_matrix.entries)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -590,10 +589,9 @@ class TestSimulate:
         r = random_influence(rng)
         utility = UtilityMatrix(rng.uniform(0.0, 0.2, size=(5, 5)))
         trace = simulate(self_consistent_scenario(r, utility), 20)
-        first = trace.steps[0]
-        for s in trace.steps:
-            assert np.array_equal(s.performance.values, first.performance.values)
-            assert np.array_equal(s.influence.entries, r.entries)
+        for w_k, r_k in zip(trace.w, trace.r):
+            assert np.array_equal(w_k, trace.w[0])
+            assert np.array_equal(r_k, r.entries)
 
     def test_determinism_byte_identical(self, example_matrix, uniform_utility):
         scenario = self_consistent_scenario(example_matrix, uniform_utility)
@@ -611,12 +609,12 @@ class TestSimulate:
             utility=uniform_utility,
         )
         trace = simulate(scenario, 40)
-        timestamps = [s.timestamp for s in trace.steps]
+        timestamps = [trace.start + k for k in range(len(trace))]
         assert timestamps == list(range(2, 42))
-        for s in trace.steps:
-            assert np.all(np.diagonal(s.influence.entries) == 1.0)
-            assert s.branches.total() == 20
-            assert np.all(s.performance.values >= 0.0) and np.all(s.performance.values <= 1.0)
+        for w, r, branches in zip(trace.w, trace.r, trace.branches):
+            assert np.all(np.diagonal(r) == 1.0)
+            assert BranchCounts(*branches.tolist()).total() == 20
+            assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
     def test_invalid_scenario_collects_all_violations(self, example_matrix, uniform_utility):
         scenario = Scenario(
@@ -650,9 +648,7 @@ class TestSimulate:
         )
         trace = simulate(scenario, 5)
         quiet = simulate(base, 5)
-        assert trace.steps[0].performance == quiet.steps[0].performance
-        assert trace.steps[1].performance == quiet.steps[1].performance
-        assert np.array_equal(
-            trace.steps[2].performance.values,
-            quiet.steps[2].performance.values + emphasis,
-        )
+        assert np.array_equal(trace.w[0], quiet.w[0])
+        assert np.array_equal(trace.w[1], quiet.w[1])
+        assert np.array_equal(trace.w[2], quiet.w[2] + emphasis)
+        assert trace.start == quiet.start

@@ -379,10 +379,10 @@ class TestTraceRoundTrip:
         trace = random_trace(np.random.default_rng(2), steps=6)
         back = parse_trace(write_trace(trace, "table"))
         assert len(back) == len(trace)
-        for ours, theirs in zip(trace.steps, back.steps):
-            assert ours.timestamp == theirs.timestamp
-            assert ours.performance == theirs.performance
-            assert ours.influence == theirs.influence
+        assert back.start == trace.start
+        for k in range(len(trace)):
+            assert np.array_equal(back.w[k], trace.w[k])
+            assert np.array_equal(back.r[k], trace.r[k])
 
     def test_single_step_table_has_one_row(self):
         trace = random_trace(np.random.default_rng(3), steps=1)
@@ -997,8 +997,7 @@ class TestCsvRows:
         table = SeriesTable((3, 7), [[0.0, 5e-324], [1.0, 0.1]], [1.0, 5e-324])
         assert write_series(table) == "t,S1,S2,IHDI\n3,0,4.9406564584124654e-324,1\n7,1,0.10000000000000001,4.9406564584124654e-324\n"
         trace = random_trace(np.random.default_rng(5), steps=3, n=2)
-        want = [f"{t},{_cells([*s.performance.values.tolist(), *s.influence.entries.ravel().tolist()])}"
-                for t, s in zip(range(2, 5), trace.steps)]
+        want = [f"{t},{_cells([*w.tolist(), *r.ravel().tolist()])}" for t, w, r in zip(range(2, 5), trace.w, trace.r)]
         assert write_trace(trace, "table") == "t,W1,W2,R11,R12,R21,R22\n" + "\n".join(want) + "\n"
 
 

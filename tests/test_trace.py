@@ -2,7 +2,7 @@
 
 ``simulate`` stacks each step's state into ``SimulationTrace.w``, ``r``
 and ``branches``; the properties here rebuild the same run one ``step``
-at a time, as ``TraceStep`` objects, and require bit-for-bit equality.
+at a time, as ``StepResult`` objects, and require bit-for-bit equality.
 A second property rebuilds the run from the specification alone: the
 scalar ``update_relationship`` cell by cell and the public, fully checking
 constructors, so a check that the step no longer makes shows up as a
@@ -34,8 +34,8 @@ from crossimpact import (
     SequencingError,
     ShapeError,
     SimulationTrace,
+    StepResult,
     SubsystemSet,
-    TraceStep,
     UtilityMatrix,
     parse_trace,
     simulate,
@@ -74,17 +74,16 @@ def scenarios(draw):
     )
 
 
-def stepwise(scenario: Scenario) -> list[TraceStep]:
+def stepwise(scenario: Scenario) -> list[StepResult]:
     """The run as the engine built it before traces were stacked: one
-    ``TraceStep`` per ``step`` call."""
+    ``StepResult`` per ``step`` call."""
     utility = scenario.resolved_utility()
     w_prev, w_curr, r_curr = scenario.w0, scenario.w1, scenario.r1
     steps = []
     with np.errstate(over="ignore"):
         for s in range(1, scenario.horizon + 1):
-            w_next, r_next, counts = step(w_prev, w_curr, r_curr, utility, scenario.policy.get(s), scenario.options)
-            steps.append(TraceStep(w_next.timestamp, w_next, r_next, counts))
-            w_prev, w_curr, r_curr = w_curr, w_next, r_next
+            steps.append(step(w_prev, w_curr, r_curr, utility, scenario.policy.get(s), scenario.options))
+            w_prev, w_curr, r_curr = w_curr, steps[-1].performance, steps[-1].influence
     return steps
 
 
@@ -106,18 +105,12 @@ class TestArrayTraceMatchesSteps:
             assert trace == reference
             return
         assert trace == reference
-        assert trace.start == steps[0].timestamp == 2
-        assert [s.timestamp for s in trace.steps] == [s.timestamp for s in steps]
+        assert trace.start == steps[0].performance.timestamp == 2
+        timestamps = [trace.start + k for k in range(len(trace))]
+        assert timestamps == [s.performance.timestamp for s in steps] == [s.influence.timestamp for s in steps]
         assert trace.w.tobytes() == np.array([s.performance.values for s in steps]).tobytes()
         assert trace.r.tobytes() == np.array([s.influence.entries for s in steps]).tobytes()
-        assert trace.steps == tuple(steps)
         assert trace.branches.tolist() == [list(astuple(s.branches)) for s in steps]
-
-    def test_steps_are_built_on_demand(self, example_matrix, uniform_utility):
-        trace = simulate(self_consistent_scenario(example_matrix, uniform_utility), 4)
-        assert "steps" not in vars(trace)
-        assert trace.steps is trace.steps  # built once, then cached
-        assert [s.timestamp for s in trace.steps] == [2, 3, 4, 5]
 
     def test_stacks_are_read_only(self):
         trace = random_trace(np.random.default_rng(1), steps=3)
@@ -126,14 +119,17 @@ class TestArrayTraceMatchesSteps:
                 array[0] = 0
 
     def test_constructors_agree(self):
-        # the stacks and the steps view describe one run; the constructor
-        # keeps the arrays it is given and makes them read-only
+        # the stacks and the step results they hold describe one run; the
+        # constructor keeps the arrays it is given and makes them read-only
         trace = random_trace(np.random.default_rng(2), steps=4)
         w, r, branches = trace.w.copy(), trace.r.copy(), trace.branches.copy()
         again = SimulationTrace(w, r, branches, 2)
         assert again.w is w and again.r is r and again.branches is branches and not w.flags.writeable
-        assert again == trace and trace_of(again.steps) == trace
-        assert again.steps == trace.steps
+        results = [
+            StepResult(PerformanceVector(w[k], 2 + k), InfluenceMatrix(r[k], 2 + k), BranchCounts(*branches[k].tolist()))
+            for k in range(len(again))
+        ]
+        assert again == trace and trace_of(results) == trace
         assert again != SimulationTrace(trace.w, trace.r, trace.branches, 3)
 
     def test_the_constructor_checks_the_stacks(self):
@@ -219,7 +215,7 @@ def specified(scenario: Scenario) -> SimulationTrace:
             if opts.normalize_w:
                 values = np.clip(values, 0.0, 1.0)
             counts = BranchCounts(branches[Branch.ONE_ZERO], branches[Branch.EQUAL], branches[Branch.RATIO], degenerate)
-            steps.append(TraceStep(t, PerformanceVector(values, t), r_next, counts))
+            steps.append(StepResult(PerformanceVector(values, t), r_next, counts))
             w_prev, w_curr, r_curr = w_curr, steps[-1].performance, r_next
     return trace_of(steps)
 
@@ -303,10 +299,10 @@ class TestLeanStepMatchesTheSpecification:
 
 
 def oracle_observations(trace: SimulationTrace, design: str) -> np.ndarray:
-    """``observation_matrix`` as it was computed from step objects."""
+    """``observation_matrix`` computed one strength matrix at a time."""
     if design == "column-sums":
-        return np.array([s.influence.entries.sum(axis=0) for s in trace.steps])
-    return np.array([s.influence.entries.ravel() for s in trace.steps])
+        return np.array([r.sum(axis=0) for r in trace.r])
+    return np.array([r.ravel() for r in trace.r])
 
 
 @pytest.mark.parametrize("design", OBSERVATION_DESIGNS)

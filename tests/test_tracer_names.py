@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from crossimpact import write_scenario
+from crossimpact import SeriesTable, write_scenario, write_series
 from crossimpact.cli import main
 from conftest import self_consistent_scenario
 
@@ -55,3 +55,29 @@ def test_simulate_calls_step_once_per_step(tracing, horizon, tmp_path, example_m
     for name in ("model.step", "model.update_matrix", "model.compute_weights"):
         assert calls.count(name) == horizon, name
     assert calls.count("model.simulate") == 1
+
+
+def captured(argv):
+    """Exit code, stdout and stderr of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_tune_counts_policy_evaluations_without_changing_output(tracing, tmp_path):
+    # the tracer hands tune_initial_r a counting copy of the default policy
+    path = tmp_path / "series.csv"
+    path.write_text(write_series(SeriesTable((0, 1), [[0.5, 0.4, 0.6], [0.55, 0.45, 0.5]])))
+    argv = ["tune", "--series", str(path), "--u", "auto"]
+    untraced = captured(argv)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = captured(argv)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced and tracer.missing == []
+    assert [span[3] for span in tracer.spans].count("calibration.tune_initial_r") == 1
+    assert tracer.counts["calibration.policy_evals"] > 0
+    assert "calibration.tune_sweeps" in tracer.counts
