@@ -55,7 +55,6 @@ from .model import (
 from .scenario_io import (
     Scenario,
     SeriesTable,
-    TuneResult,
     parse_matrix,
     parse_qc_table,
     parse_ranking,

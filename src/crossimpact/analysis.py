@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SATISFIABLE_FLOOR = 0.9
 QC_IDENTITY_RTOL = 1e-12
+SLOPE_EPS = 1e-3  # the dead band around zero slope that counts as stationary
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,12 @@ def quality_coefficient(series: SeriesTable) -> list[QualityPoint]:
 class TrendReport:
     """Least-squares trend of the quality coefficient over a window."""
 
-    series: tuple[QualityPoint, ...]
     slope: float
     classification: str  # "increasing" | "stationary" | "decreasing"
     satisfiable: bool
 
 
-def trend(series: list[QualityPoint], slope_eps: float = 1e-3) -> TrendReport:
+def trend(series: list[QualityPoint], slope_eps: float = SLOPE_EPS) -> TrendReport:
     """Classify the quality-coefficient trend and judge satisfiability.
 
     Satisfiable means every point in the window is at or above the 0.9
@@ -124,7 +124,7 @@ def trend(series: list[QualityPoint], slope_eps: float = 1e-3) -> TrendReport:
     else:
         classification = "stationary"
     satisfiable = classification != "decreasing" and all(p.qc >= SATISFIABLE_FLOOR for p in points)
-    return TrendReport(points, slope, classification, satisfiable)
+    return TrendReport(slope, classification, satisfiable)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +226,11 @@ def ranking_from_observations(observations: np.ndarray, size: int, design: str) 
     if not np.isfinite(ratios).all():
         raise CrossImpactError("the covariance's eigenvalues overflow: strengths too large to rank")
     pc1 = vectors[:, 0]
-    if design == "column-sums":
-        magnitudes = np.abs(pc1)
-    elif design == "flattened":
+    if design == "flattened":
         grid = pc1.reshape(size, size)
         magnitudes = np.sqrt((grid * grid).sum(axis=0))  # aggregate by source subsystem
-    else:
-        raise InputError(f"unknown observation design {design!r} (expected one of {OBSERVATION_DESIGNS})")
+    else:  # InfluenceRanking rejects a design that is neither
+        magnitudes = np.abs(pc1)
     order = np.argsort(-magnitudes, kind="stable")
     return InfluenceRanking(
         design=design,

@@ -231,7 +231,6 @@ def _tune_row(
     """Sweep the off-diagonal coordinates of one strength row until the
     predicted performance matches the target.  Mutates ``row`` in place
     and returns (signed residual, sweeps used, notes)."""
-    lo, hi = 0.0, 1.0
     notes: list[str] = []
 
     def f_at(j: int, v: float) -> float:
@@ -249,15 +248,15 @@ def _tune_row(
         for j in range(row.shape[0]):
             if j == i:
                 continue
-            f_lo, f_hi = f_at(j, lo), f_at(j, hi)
+            f_lo, f_hi = f_at(j, 0.0), f_at(j, 1.0)
             if f_lo * f_hi <= 0.0:
-                value, f_value = _bisect(lambda v: f_at(j, v), lo, hi, f_lo, f_hi, opts.tol)
+                value, f_value = _bisect(lambda v: f_at(j, v), 0.0, 1.0, f_lo, f_hi, opts.tol)
                 row[j] = value
                 residual = f_value
                 moved = True
             else:
                 # no root on this coordinate; move to the closer end
-                end, f_end = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+                end, f_end = (0.0, f_lo) if abs(f_lo) < abs(f_hi) else (1.0, f_hi)
                 if abs(f_end) < abs(residual):
                     row[j] = end
                     residual = f_end

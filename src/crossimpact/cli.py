@@ -15,7 +15,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .analysis import influence_ranking, quality_coefficient, trend
+from .analysis import OBSERVATION_DESIGNS, SLOPE_EPS, influence_ranking, quality_coefficient, trend
 from .calibration import TuneOptions, _seed_guess, solve_utility_min_norm, tune_initial_r
 from .errors import (
     CrossImpactError,
@@ -26,9 +26,8 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .model import BranchCounts, UtilityMatrix, simulate
+from .model import BRANCH_FIELDS, UtilityMatrix, simulate
 from .scenario_io import (
-    TuneResult,
     parse_matrix,
     parse_scenario,
     parse_series,
@@ -79,14 +78,10 @@ def cmd_simulate(args) -> int:
     scenario = parse_scenario(_read(args.scenario))
     trace = simulate(scenario, args.horizon if args.horizon is not None else scenario.horizon)
     _emit(write_trace(trace, args.format), args.out)
-    totals = BranchCounts(*trace.branches.sum(axis=0).tolist())
+    totals = trace.branches.sum(axis=0).tolist()
     _note(f"simulated {len(trace)} steps (t = {trace.start}..{trace.start + len(trace) - 1})")
     _note("final performance: " + ", ".join(f"{v:.6g}" for v in trace.w[-1].tolist()))
-    _note(
-        "update branches: one_zero="
-        f"{totals.one_zero} equal={totals.equal} ratio={totals.ratio} "
-        f"degenerate={totals.degenerate}"
-    )
+    _note("update branches: " + " ".join(f"{name}={count}" for name, count in zip(BRANCH_FIELDS, totals)))
     return EXIT_OK
 
 
@@ -118,7 +113,7 @@ def cmd_tune(args) -> int:
     else:
         utility = UtilityMatrix(parse_matrix(_read(args.u)))
     r_prev, r_curr, report = tune_initial_r(w_prev, w_curr, utility, opts=opts)
-    _emit(write_tune_result(TuneResult(r_prev, r_curr, report)), args.out)
+    _emit(write_tune_result(r_prev, r_curr, report), args.out)
     for i, residual in enumerate(report.residuals):
         _note(
             f"row {i + 1}: residual={residual:.3g} sweeps={report.sweeps[i]} "
@@ -179,20 +174,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tune", help="search seed strengths matching the first two series rows")
     p.add_argument("--series", required=True, help="series CSV with at least two rows")
     p.add_argument("--u", default="auto", help="utility matrix CSV, or 'auto' to approximate")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-sweeps", type=int, default=200)
+    p.add_argument("--tol", type=float, default=TuneOptions.tol)
+    p.add_argument("--max-sweeps", type=int, default=TuneOptions.max_sweeps)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("qc", help="quality-coefficient table and trend over a series")
     p.add_argument("--series", required=True, help="series CSV with the IHDI column")
-    p.add_argument("--slope-eps", type=float, default=1e-3)
+    p.add_argument("--slope-eps", type=float, default=SLOPE_EPS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_qc)
 
     p = sub.add_parser("rank", help="rank subsystems by influence over a trace")
     p.add_argument("--trace", required=True, help="trace file (table or structured)")
-    p.add_argument("--design", choices=("column-sums", "flattened"), default="column-sums")
+    p.add_argument("--design", choices=OBSERVATION_DESIGNS, default="column-sums")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rank)
 

@@ -191,14 +191,13 @@ class UtilityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PolicyIntervention:
-    """Additive exogenous emphasis applied to performance before clipping."""
+    """Additive exogenous emphasis applied to performance before clipping;
+    a scenario's policy schedule says at which step."""
 
     emphasis: np.ndarray
-    timestamp: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "emphasis", _frozen_array(self.emphasis, "policy emphasis", 1))
-        object.__setattr__(self, "timestamp", int(self.timestamp))
         if not np.isfinite(self.emphasis).all():
             raise DomainError("policy emphasis must be finite")
 
@@ -510,8 +509,6 @@ def step(
     the additive policy emphasis, clip to [0, 1] when normalizing."""
     r_next, counts = update_matrix(w_prev, w_curr, r_curr, opts)
     w_next = compute_weights(r_next, utility)
-    if policy is None and not opts.normalize_w:
-        return StepResult(w_next, r_next, counts)
     values = w_next.values
     if policy is not None:
         if policy.emphasis.shape[0] != values.shape[0]:
@@ -522,7 +519,8 @@ def step(
     if opts.normalize_w:
         # clipping maps an overflowed sum to a bound, so values stay finite
         values = values.clip(0.0, 1.0)
-    elif not np.isfinite(values).all():
+    elif policy is not None and not np.isfinite(values).all():
+        # compute_weights has checked the plain aggregate; only the sum can overflow
         raise DomainError("performance values must all be finite")
     return StepResult(_built(PerformanceVector, r_next.timestamp, "values", values), r_next, counts)
 

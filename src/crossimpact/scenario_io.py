@@ -27,7 +27,7 @@ import math
 import re
 import reprlib
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -263,7 +263,7 @@ def _finite_array(raw, key: str, ndim: int, out: list[str], finite: bool = True)
 
 
 _SCENARIO_KEYS = {"subsystems", "w0", "w1", "r1", "u", "policy", "options", "horizon"}
-_OPTION_TYPES = {"clamp": bool, "eps_delta": float, "normalize_w": bool}
+_OPTION_TYPES = {f.name: type(f.default) for f in fields(ModelOptions)}
 
 
 def _parse_options(raw, out: list[str]) -> ModelOptions:
@@ -333,7 +333,7 @@ def parse_scenario(text: str) -> Scenario:
     else:
         utility = _finite_array(raw_u, "u", 2, out)
 
-    horizon = doc.get("horizon", 10)
+    horizon = doc.get("horizon", Scenario.horizon)
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         out.append(f"horizon must be an integer, got {reprlib.repr(horizon)}")
         horizon = None
@@ -366,7 +366,7 @@ def parse_scenario(text: str) -> Scenario:
         w1=PerformanceVector(w1, 1),
         r1=InfluenceMatrix(r1, 1),
         utility=None if utility is None else UtilityMatrix(utility),
-        policy={k: PolicyIntervention(e, k) for k, e in emphases.items()},
+        policy={k: PolicyIntervention(e) for k, e in emphases.items()},
         options=options,
         horizon=horizon,
     )
@@ -380,11 +380,7 @@ def write_scenario(scenario: Scenario) -> str:
         "r1": scenario.r1.entries.tolist(),
         "u": "calibrate" if scenario.utility is None else scenario.utility.entries.tolist(),
         "policy": {str(k): scenario.policy[k].emphasis.tolist() for k in sorted(scenario.policy)},
-        "options": {
-            "clamp": scenario.options.clamp,
-            "eps_delta": scenario.options.eps_delta,
-            "normalize_w": scenario.options.normalize_w,
-        },
+        "options": asdict(scenario.options),
         "horizon": scenario.horizon,
     }
     return _dumps(doc) + "\n"
@@ -756,34 +752,28 @@ def parse_ranking(text: str) -> InfluenceRanking:
         raise ParseError(f"malformed ranking document: {e}") from e
 
 
-@dataclass(frozen=True)
-class TuneResult:
-    """Tuned seed matrix, its one-step advance, and the calibration report."""
-
-    r_prev: InfluenceMatrix
-    r_curr: InfluenceMatrix
-    report: CalibrationReport
-
-
-def write_tune_result(result: TuneResult) -> str:
+def write_tune_result(r_prev: InfluenceMatrix, r_curr: InfluenceMatrix, report: CalibrationReport) -> str:
+    """The tune document of the tuned seed matrix, its one-step advance and
+    the report, the triple ``tune_initial_r`` returns."""
     doc = {
         "kind": "tune",
-        "t_prev": result.r_prev.timestamp,
-        "t_curr": result.r_curr.timestamp,
-        "r_prev": result.r_prev.entries.tolist(),
-        "r_curr": result.r_curr.entries.tolist(),
+        "t_prev": r_prev.timestamp,
+        "t_curr": r_curr.timestamp,
+        "r_prev": r_prev.entries.tolist(),
+        "r_curr": r_curr.entries.tolist(),
         "report": {
-            "tol": result.report.tol,
-            "residuals": list(result.report.residuals),
-            "sweeps": list(result.report.sweeps),
-            "converged": list(result.report.converged),
-            "notes": list(result.report.notes),
+            "tol": report.tol,
+            "residuals": list(report.residuals),
+            "sweeps": list(report.sweeps),
+            "converged": list(report.converged),
+            "notes": list(report.notes),
         },
     }
     return _dumps(doc) + "\n"
 
 
-def parse_tune_result(text: str) -> TuneResult:
+def parse_tune_result(text: str) -> tuple[InfluenceMatrix, InfluenceMatrix, CalibrationReport]:
+    """The triple that ``write_tune_result`` wrote."""
     doc = _load_json(text, "tune", "tune")
     try:
         raw = doc["report"]
@@ -802,7 +792,7 @@ def parse_tune_result(text: str) -> TuneResult:
         r_curr = _finite_array(doc["r_curr"], "r_curr", 2, out)
         if out:
             raise ValueError("; ".join(out))
-        return TuneResult(
+        return (
             InfluenceMatrix(r_prev, _integral(doc["t_prev"], "tune 't_prev'")),
             InfluenceMatrix(r_curr, _integral(doc["t_curr"], "tune 't_curr'")),
             report,

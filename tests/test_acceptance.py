@@ -134,11 +134,11 @@ def test_criterion_4_tune_round_trip(tmp_path, capsys):
             )
             assert code == 0
             capsys.readouterr()  # drain the command's own diagnostics
-            result = parse_tune_result(out_path.read_text())
-            assert result.report.all_converged
-            assert max(result.report.residuals) <= 1e-6
+            r_prev, _, report = parse_tune_result(out_path.read_text())
+            assert report.all_converged
+            assert max(report.residuals) <= 1e-6
             # re-simulate: the tuned strengths reproduce the later snapshot
-            predicted = np.einsum("ij,ij->i", result.r_prev.entries, utility)
+            predicted = np.einsum("ij,ij->i", r_prev.entries, utility)
             assert np.max(np.abs(predicted - w_curr)) <= 1e-6
 
 

@@ -22,6 +22,7 @@ from crossimpact import (
     jacobi_eigendecomposition,
     quality_coefficient,
     trend,
+    write_trace,
 )
 from crossimpact.analysis import ranking_from_observations
 from crossimpact.cli import main
@@ -318,6 +319,18 @@ class TestInfluenceRanking:
         rng = np.random.default_rng(7)
         with pytest.raises(InputError):
             influence_ranking(varying_column_trace(rng, 0), design="row-sums")
+
+    def test_an_unknown_design_is_refused_at_every_entry(self, tmp_path, capsys):
+        # each entry takes the design as a string; none may rank with it
+        trace = varying_column_trace(np.random.default_rng(8), 0)
+        with pytest.raises(CrossImpactError, match="unknown observation design 'bogus'"):
+            ranking_from_observations(trace.r.sum(axis=1), 5, "bogus")
+        with pytest.raises(InputError, match="'bogus'"):
+            influence_ranking(trace, "bogus")
+        path = tmp_path / "trace.csv"
+        path.write_text(write_trace(trace, "table"))
+        assert main(["rank", "--trace", str(path), "--design", "bogus"]) == 1
+        assert "'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equal_loadings_keep_ascending_subsystem_order(self, seed):

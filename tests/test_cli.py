@@ -149,10 +149,10 @@ class TestTuneCommand:
     def test_forward_generated_series_converges(self, tmp_path, capsys):
         series_path, u_path, utility, w_curr = self._forward_series(tmp_path)
         assert main(["tune", "--series", series_path, "--u", u_path, "--tol", "1e-6"]) == 0
-        result = parse_tune_result(capsys.readouterr().out)
-        assert result.report.all_converged
-        assert max(result.report.residuals) <= 1e-6
-        predicted = np.einsum("ij,ij->i", result.r_prev.entries, utility)
+        r_prev, _, report = parse_tune_result(capsys.readouterr().out)
+        assert report.all_converged
+        assert max(report.residuals) <= 1e-6
+        predicted = np.einsum("ij,ij->i", r_prev.entries, utility)
         assert np.max(np.abs(predicted - w_curr)) <= 1e-6
 
     def test_unreachable_target_exits_two(self, tmp_path, capsys):
@@ -162,8 +162,8 @@ class TestTuneCommand:
         assert main(["tune", "--series", str(series_path), "--u", "auto"]) == 2
         out = capsys.readouterr()
         assert "unreachable" in out.err
-        result = parse_tune_result(out.out)
-        assert not result.report.all_converged
+        _, _, report = parse_tune_result(out.out)
+        assert not report.all_converged
 
     def test_overflowing_residual_exits_one(self, tmp_path, capsys):
         # the strength-weighted sums overflow to inf; the report refuses an

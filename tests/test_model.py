@@ -95,7 +95,7 @@ _SCENARIO = {
     "w1": PerformanceVector([0.5, 0.5], 1),
     "r1": InfluenceMatrix([[1.0, 0.5], [0.25, 1.0]], 1),
     "utility": UtilityMatrix([[0.5, -0.5], [0.0, 1.0]]),
-    "policy": {1: PolicyIntervention([0.1, 0.0], 1)},
+    "policy": {1: PolicyIntervention([0.1, 0.0])},
     "options": ModelOptions(),
     "horizon": 3,
 }
@@ -124,8 +124,8 @@ VALUE_TYPES = {
     ),
     "PolicyIntervention": (
         PolicyIntervention,
-        {"emphasis": [0.1, 0.0], "timestamp": 2},
-        {"emphasis": [0.1, 0.2], "timestamp": 3},
+        {"emphasis": [0.1, 0.0]},
+        {"emphasis": [0.1, 0.2]},
         {"emphasis": [0.1, -0.0]},
     ),
     "SimulationTrace": (
@@ -543,7 +543,7 @@ class TestStep:
             _vec(w.values, 1),
             example_matrix,
             uniform_utility,
-            PolicyIntervention(emphasis, 1),
+            PolicyIntervention(emphasis),
         )
         assert np.array_equal(boosted.performance.values, plain.performance.values + emphasis)
 
@@ -643,7 +643,7 @@ class TestSimulate:
             w1=base.w1,
             r1=base.r1,
             utility=base.utility,
-            policy={3: PolicyIntervention(emphasis, 3)},
+            policy={3: PolicyIntervention(emphasis)},
             horizon=5,
         )
         trace = simulate(scenario, 5)

@@ -22,7 +22,6 @@ from crossimpact import (
     InfluenceMatrix,
     InfluenceRanking,
     ParseError,
-    TuneResult,
     ValidationError,
     parse_ranking,
     parse_scenario,
@@ -193,13 +192,11 @@ OUTPUTS = {
     ),
     "tune": (
         parse_tune_result,
-        write_tune_result,
+        lambda result: write_tune_result(*result),
         write_tune_result(
-            TuneResult(
-                InfluenceMatrix(BASE["r1"], 1),
-                InfluenceMatrix([[1.0, 0.5, 0.0], [0.25, 1.0, 0.875], [0.125, 0.5, 1.0]], 2),
-                CalibrationReport(1e-6, (0.0, 2.5e-7, 0.5), (3, 1, 200), ("row 3: bracket exhausted",)),
-            )
+            InfluenceMatrix(BASE["r1"], 1),
+            InfluenceMatrix([[1.0, 0.5, 0.0], [0.25, 1.0, 0.875], [0.125, 0.5, 1.0]], 2),
+            CalibrationReport(1e-6, (0.0, 2.5e-7, 0.5), (3, 1, 200), ("row 3: bracket exhausted",)),
         ),
     ),
 }

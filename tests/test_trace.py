@@ -66,7 +66,7 @@ def scenarios(draw):
         r1=InfluenceMatrix(r1, 1),
         utility=UtilityMatrix(u),
         policy={
-            s: PolicyIntervention(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)), s)
+            s: PolicyIntervention(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
             for s in policy_steps
         },
         options=ModelOptions(clamp=draw(st.booleans()), normalize_w=draw(st.booleans())),
@@ -156,7 +156,7 @@ def build_scenario(n, w0, w1, r1, u, policy, clamp, normalize_w, eps_delta, hori
         w1=PerformanceVector(w1, 1),
         r1=InfluenceMatrix(r1, 1),
         utility=UtilityMatrix(np.array(u, dtype=float).reshape(n, n)),
-        policy={s: PolicyIntervention(e, s) for s, e in policy.items()},
+        policy={s: PolicyIntervention(e) for s, e in policy.items()},
         options=ModelOptions(clamp=clamp, eps_delta=eps_delta, normalize_w=normalize_w),
         horizon=horizon,
     )

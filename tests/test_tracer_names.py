@@ -9,6 +9,7 @@ removed again.
 """
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 from pathlib import Path
@@ -81,3 +82,26 @@ def test_tune_counts_policy_evaluations_without_changing_output(tracing, tmp_pat
     assert [span[3] for span in tracer.spans].count("calibration.tune_initial_r") == 1
     assert tracer.counts["calibration.policy_evals"] > 0
     assert "calibration.tune_sweeps" in tracer.counts
+
+
+@pytest.mark.parametrize("trace_format, design", [("structured", "column-sums"), ("table", "flattened")])
+def test_every_command_records_every_wrapped_layer(tracing, trace_format, design, tmp_path, monkeypatch):
+    # one tiny benchmark case per trace format, run through all five
+    # commands as the benchmark runs them: each wrapped name must record a span
+    monkeypatch.syspath_prepend(str(TRACING.parent))  # workloads imports reference
+    import workloads
+
+    workload = dataclasses.replace(
+        workloads.WORKLOADS["wide100"], n=6, cases=1, series_rows=12, horizon=8, policy_steps=3,
+        trace_format=trace_format, design=design,
+    )
+    [case] = workloads.generate(workload, 1, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = {command: captured(case.argv[command])[0] for command in workloads.COMMANDS}
+    finally:
+        tracer.uninstall()
+    assert codes == dict.fromkeys(workloads.COMMANDS, 0) and tracer.missing == []
+    recorded = {span[3] for span in tracer.spans}
+    assert [name for _, _, name in tracing.WRAPPED if name not in recorded] == []
