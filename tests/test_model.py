@@ -1,6 +1,7 @@
 """Core dynamics: aggregation, the strength-update branches, stepping."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from crossimpact import (
     update_relationship,
     write_trace,
 )
+import crossimpact.model
 from crossimpact.cli import main
-from crossimpact.model import _checked_update
+from crossimpact.model import _CELLS_MAX_N, _checked_update, _update_cells, _update_kernel
 from conftest import random_influence, self_consistent_scenario
 
 UNCLAMPED = ModelOptions(clamp=False)
@@ -407,10 +409,18 @@ def _scalar_entries(deltas, prior, opts):
 
 
 def _assert_kernel_matches_scalar_rule(deltas, prior, opts):
+    """Both update paths, called directly at any size, and the checked
+    entry, whichever path it selects, against the per-cell reference."""
     deltas = np.asarray(deltas, dtype=float)
     prior = np.array(prior, dtype=float)
     np.fill_diagonal(prior, 1.0)  # the checked entry takes a strength matrix
     want, want_counts = _scalar_entries(deltas, prior, opts)
+    with np.errstate(all="ignore"):  # as the checked entry runs the kernel
+        by_matrix = _update_kernel(deltas, prior, opts)
+    by_cell = _update_cells(deltas.tolist(), prior, opts)
+    for got, got_counts in (by_matrix, by_cell):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_counts == want_counts
     w_prev = np.zeros_like(deltas)  # so w_curr - w_prev is each delta, -0.0 included
     if not np.isfinite(want).all():  # an unclamped ratio that overflows
         with pytest.raises(DomainError, match="influence entries must all be finite"):
@@ -419,6 +429,28 @@ def _assert_kernel_matches_scalar_rule(deltas, prior, opts):
     got, got_counts = _checked_update(w_prev, deltas, prior, opts)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got_counts == want_counts
+
+
+def _spy(monkeypatch, name, replacement=None):
+    """Replace ``crossimpact.model.<name>`` with ``replacement`` (default:
+    the function itself) and return the list its calls are appended to."""
+    calls = []
+    replacement = replacement or getattr(crossimpact.model, name)
+
+    def spy(*args):
+        calls.append(args)
+        return replacement(*args)
+
+    monkeypatch.setattr(f"crossimpact.model.{name}", spy)
+    return calls
+
+
+_DELTA_FAULT = "relationship update requires finite deltas and strength"
+
+
+# the path the checked entry takes for a system of n subsystems
+def _path_at(n):
+    return "_update_cells" if n <= _CELLS_MAX_N else "_update_kernel"
 
 
 # priors at and next to the edges: zeros of both signs, subnormals, tiny
@@ -450,8 +482,9 @@ def _kernel_cases(draw):
 
 
 class TestUpdateKernel:
-    """``_checked_update`` applies the scalar rule to a whole matrix; the
-    per-cell ``update_relationship`` is its reference, bit for bit."""
+    """``_checked_update`` applies the scalar rule to a whole matrix, cell by
+    cell up to ``_CELLS_MAX_N`` subsystems and in one numpy pass above; the
+    per-cell ``update_relationship`` is the reference of both, bit for bit."""
 
     @given(case=_kernel_cases())
     @settings(max_examples=300, deadline=None)
@@ -502,24 +535,66 @@ class TestUpdateKernel:
         with pytest.raises(DomainError):
             update_matrix(w_prev, w_curr, r, big)
 
+    @pytest.mark.parametrize("n", [_CELLS_MAX_N, _CELLS_MAX_N + 1])
+    def test_checked_update_at_the_size_boundary(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        deltas = rng.normal(0.0, 0.05, n)
+        deltas[[1, 2]] = 0.0, 4e-10
+        deltas[3] = deltas[0]
+        prior = rng.uniform(0.0, 1.0, (n, n))
+        prior[0, 4], prior[4, 0], prior[5, 6], prior[6, 5] = 0.0, -0.0, 1e-308, 5e-324
+        for opts in (ModelOptions(), UNCLAMPED):
+            with monkeypatch.context() as patched:
+                calls = _spy(patched, _path_at(n))
+                _assert_kernel_matches_scalar_rule(deltas, prior, opts)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, _CELLS_MAX_N, _CELLS_MAX_N + 1, 12])
+    @pytest.mark.parametrize(
+        "w_prev, w_curr, prior_01, opts, message",
+        [
+            ([0.5, 0.5], [np.nan, 0.5], 0.5, ModelOptions(), _DELTA_FAULT),
+            ([0.5, 0.5], [0.5, np.inf], 0.5, ModelOptions(), _DELTA_FAULT),
+            ([1.7e308, -1.7e308], [-1.7e308, 1.7e308], 0.5, ModelOptions(), _DELTA_FAULT),
+            ([0.5, 0.5], [0.7, 0.6], 1e-308, UNCLAMPED, "influence entries must all be finite"),
+        ],
+        ids=["nan-delta", "inf-delta", "overflowing-delta", "unclamped-overflowing-ratio"],
+    )
+    def test_error_contract_on_both_paths(self, n, w_prev, w_curr, prior_01, opts, message):
+        # the fault sits in the first two subsystems; the others stay put
+        w_prev = np.array(w_prev + [0.25] * (n - 2))
+        w_curr = np.array(w_curr + [0.25] * (n - 2))
+        prior = np.full((n, n), 0.5)
+        prior[0, 1] = prior_01
+        np.fill_diagonal(prior, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would fail the test
+            with pytest.raises(DomainError) as caught:
+                _checked_update(w_prev, w_curr, prior, opts)
+        assert type(caught.value) is DomainError
+        assert str(caught.value) == message
+
     def test_overflowing_ratio_leaks_no_warning(self, tmp_path, capsys, monkeypatch):
-        # x = dw_i / (dw_j * 1e-308) overflows in the first step
-        doc = {
-            "subsystems": ["a", "b", "c"],
-            "w0": [0.5, 0.5, 0.5],
-            "w1": [0.7, 0.6, 0.45],
-            "r1": [[1.0, 1e-308, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]],
-        }
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        args = ["simulate", "--scenario", str(path), "--format", "structured"]
-        assert main(args) == 0
-        out = capsys.readouterr()
-        assert "Warning" not in out.err
-        # the same trace as a run through the per-cell reference
-        monkeypatch.setattr("crossimpact.model._update_kernel", _scalar_entries)
-        assert main(args) == 0
-        assert capsys.readouterr().out == out.out
+        # x = dw_i / (dw_j * 1e-308) overflows in the first step, on a system
+        # below the size that selects the numpy pass and on one above it
+        for n in (3, _CELLS_MAX_N + 1):
+            w1 = [0.7, 0.6, 0.45] + [0.2 + 0.05 * k for k in range(n - 3)]
+            r1 = np.full((n, n), 0.5)
+            r1[0, 1] = 1e-308
+            np.fill_diagonal(r1, 1.0)
+            doc = {"subsystems": [f"s{k}" for k in range(n)], "w0": [0.5] * n, "w1": w1, "r1": r1.tolist()}
+            path = tmp_path / f"scenario{n}.json"
+            path.write_text(json.dumps(doc))
+            args = ["simulate", "--scenario", str(path), "--format", "structured"]
+            assert main(args) == 0
+            out = capsys.readouterr()
+            assert "Warning" not in out.err
+            # the same trace as a run through the per-cell reference, in
+            # place of the path the checked entry takes at this size
+            with monkeypatch.context() as patched:
+                calls = _spy(patched, _path_at(n), _scalar_entries)
+                assert main(args) == 0
+            assert calls and capsys.readouterr().out == out.out
 
 
 # ---------------------------------------------------------------------------
