@@ -153,9 +153,8 @@ def solve_utility_min_norm(
             if ss == 0.0:
                 if w[i] != 0.0:
                     raise InfeasibleRowError(
-                        i,
                         f"row {i + 1} infeasible: all-zero strengths cannot produce "
-                        f"nonzero target {w[i]!r}",
+                        f"nonzero target {w[i]!r}"
                     )
                 notes.append(f"row {i + 1} degenerate: all-zero strengths with zero target")
                 residuals.append(0.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import OBSERVATION_DESIGNS, SLOPE_EPS, influence_ranking, quality_coefficient, trend
@@ -76,7 +77,9 @@ def _read(path: str) -> str:
 
 def cmd_simulate(args) -> int:
     scenario = parse_scenario(_read(args.scenario))
-    trace = simulate(scenario, args.horizon if args.horizon is not None else scenario.horizon)
+    if args.horizon is not None:
+        scenario = replace(scenario, horizon=args.horizon)
+    trace = simulate(scenario)
     _emit(write_trace(trace, args.format), args.out)
     totals = trace.branches.sum(axis=0).tolist()
     _note(f"simulated {len(trace)} steps (t = {trace.start}..{trace.start + len(trace) - 1})")

@@ -45,10 +45,6 @@ class ParseError(CrossImpactError):
 class InfeasibleRowError(CrossImpactError):
     """A calibration row has no solution (all-zero strengths, nonzero target)."""
 
-    def __init__(self, row: int, message: str):
-        self.row = row
-        super().__init__(message)
-
 
 class DegenerateRankingError(CrossImpactError):
     """The observation matrix carries no variance; all subsystems are tied."""

@@ -156,12 +156,9 @@ class InfluenceMatrix:
         object.__setattr__(self, "entries", _frozen_array(self.entries, "influence entries", 2))
         object.__setattr__(self, "timestamp", int(self.timestamp))
         _square(*self.entries.shape)
-        if not np.isfinite(self.entries).all():
-            raise DomainError("influence entries must all be finite")
-        if (self.entries < 0.0).any():
-            raise DomainError("influence entries must be non-negative")
-        if not (self.entries.diagonal() == 1.0).all():
-            raise DomainError("influence matrix diagonal must be exactly 1")
+        for mask, rule, _ in strength_rules(self.entries):
+            if mask.any():
+                raise DomainError(rule)
 
     @property
     def size(self) -> int:
@@ -218,9 +215,9 @@ class RelationshipUpdate(NamedTuple):
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class BranchCounts:
-    """How many off-diagonal cells took each update branch in one step."""
+class BranchCounts(NamedTuple):
+    """How many off-diagonal cells took each update branch in one step: a
+    row of a trace's ``branches`` stack."""
 
     one_zero: int = 0
     equal: int = 0
@@ -231,7 +228,7 @@ class BranchCounts:
         return self.one_zero + self.equal + self.ratio
 
 
-BRANCH_FIELDS = tuple(f.name for f in fields(BranchCounts))
+BRANCH_FIELDS = BranchCounts._fields
 
 
 class StepResult(NamedTuple):
@@ -240,29 +237,28 @@ class StepResult(NamedTuple):
     branches: BranchCounts
 
 
+def strength_rules(r: np.ndarray):
+    """The value rules of strengths in the order they are checked, over a
+    matrix, a (T, n, n) stack or a scenario's ``r1`` of any shape: the mask
+    of the cells that break each, the rule for the whole array, and the
+    rule after one cell's value.  The diagonal is on the last two axes."""
+    diagonal = np.eye(*r.shape[-2:], dtype=bool)
+    yield ~np.isfinite(r), "influence entries must all be finite", "is not a finite number"
+    yield diagonal & (r != 1.0), "influence matrix diagonal must be exactly 1", "but the diagonal must be exactly 1"
+    yield ~diagonal & (r < 0.0), "influence entries must be non-negative", "is negative"
+
+
 def trace_rules(w: np.ndarray, r: np.ndarray):
     """The value rules of a trace over its (T, n) performance and (T, n, n)
-    strength stacks, in the order they are checked.  Each rule is the stack
-    it reads ("w" or "r"), the mask of the cells that break it, the rule
-    for the whole trace, and the rule after one cell's value."""
+    strength stacks, in the order they are checked: each is the stack it
+    reads ("w" or "r") and a rule as ``strength_rules`` gives it."""
     yield "w", ~np.isfinite(w), "performance values must all be finite", "is not a finite number"
-    yield "r", ~np.isfinite(r), "influence entries must all be finite", "is not a finite number"
-    off_one = np.eye(r.shape[-1], dtype=bool) & (r != 1.0)
-    yield "r", off_one, "influence matrix diagonal must be exactly 1", "but the diagonal must be exactly 1"
-    yield "r", r < 0.0, "influence entries must be non-negative", "is negative"
-
-
-def branch_stack(counts) -> np.ndarray:
-    """Per-step update counts (one_zero, equal, ratio, degenerate) as a
-    64-bit integer array; a count beyond that range is a DomainError."""
-    try:
-        return np.asarray(counts, dtype=np.int64)
-    except OverflowError:
-        raise DomainError("branch counts must lie within the 64-bit integer range") from None
+    for rule in strength_rules(r):
+        yield "r", *rule
 
 
 def branch_fault(branches: np.ndarray, n: int) -> str | None:
-    """Why the first row of a (T, 4) ``branch_stack`` cannot be the counts
+    """Why the first row of a (T, 4) int64 stack cannot be the counts
     of a step of n subsystems, naming it as ``steps[k]``, or None when
     every row can.  Each of the n(n-1) off-diagonal cells takes one branch
     and degenerate cells are ratio cells.  A row of zeros passes: it is a
@@ -317,7 +313,11 @@ class SimulationTrace:
     start: int
 
     def __post_init__(self):
-        w, r, branches = np.asarray(self.w, dtype=float), np.asarray(self.r, dtype=float), branch_stack(self.branches)
+        w, r = np.asarray(self.w, dtype=float), np.asarray(self.r, dtype=float)
+        try:
+            branches = np.asarray(self.branches, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("branch counts must lie within the 64-bit integer range") from None
         if r.ndim != 3 or len(r) == 0:
             raise ShapeError(f"trace strengths must be a (T, n, n) stack with T >= 1, got shape {r.shape}")
         n = _square(*r.shape[1:])
@@ -576,14 +576,14 @@ def step(
     return StepResult(_built(PerformanceVector, r_next.timestamp, "values", values), r_next, counts)
 
 
-def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
-    """Run ``horizon`` steps from the scenario's seed state.
+def simulate(scenario: "Scenario") -> SimulationTrace:
+    """Run the scenario's ``horizon`` steps from its seed state.
 
     Step s (1-based) consumes the policy scheduled under key s and emits
     the state at timestamp s + 1.  Identical scenarios always produce
     identical traces.
     """
-    violations = scenario.validate(horizon)
+    violations = scenario.validate()
     if violations:
         raise ValidationError(violations)
     utility = scenario.resolved_utility()
@@ -595,11 +595,11 @@ def simulate(scenario: "Scenario", horizon: int) -> SimulationTrace:
     # rejected as a DomainError by the step's finiteness check, with no
     # numpy warning.
     with np.errstate(over="ignore"):
-        for s in range(1, horizon + 1):
+        for s in range(1, scenario.horizon + 1):
             policy = scenario.policy.get(s)
             w_next, r_next, c = step(w_prev, w_curr, r_curr, utility, policy, opts)
             ws.append(w_next.values)
             rs.append(r_next.entries)
-            counts.append((c.one_zero, c.equal, c.ratio, c.degenerate))
+            counts.append(c)
             w_prev, w_curr, r_curr = w_curr, w_next, r_next
     return SimulationTrace(np.array(ws), np.array(rs), counts, start)

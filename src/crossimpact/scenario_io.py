@@ -45,9 +45,9 @@ from .model import (
     SubsystemSet,
     UtilityMatrix,
     _fields_equal,
-    branch_fault,
-    branch_stack,
+    _frozen_array,
     stack_steps,
+    strength_rules,
     trace_rules,
 )
 
@@ -161,7 +161,7 @@ class Scenario:
         solved, _ = solve_utility_min_norm(self.r1, self.w1)
         return solved
 
-    def validate(self, horizon: int | None = None) -> list[str]:
+    def validate(self) -> list[str]:
         """Collect every violation instead of failing on the first."""
         out = _scenario_violations(
             self.size,
@@ -171,7 +171,7 @@ class Scenario:
             None if self.utility is None else self.utility.entries,
             {k: p.emphasis for k, p in self.policy.items()},
             self.options,
-            self.horizon if horizon is None else int(horizon),
+            self.horizon,
         )
         if self.w0.timestamp != 0 or self.w1.timestamp != 1:
             out.append(
@@ -210,11 +210,10 @@ def _scenario_violations(
         if grid is not None and grid.shape != (n, n):
             out.append(f"{name} has shape {grid.shape[0]}x{grid.shape[1]}, expected {n}x{n}")
     if r1 is not None:
-        diagonal = np.eye(*r1.shape, dtype=bool)
-        out += _bad_cells("r1", r1, diagonal & (r1 != 1.0), "but the diagonal must be exactly 1")
-        out += _bad_cells("r1", r1, ~diagonal & (r1 < 0.0), "is negative")
+        for mask, _, what in strength_rules(r1):
+            out += _bad_cells("r1", r1, mask, what)
         if options.clamp:
-            out += _bad_cells("r1", r1, ~diagonal & (r1 > 1.0), "outside [0, 1]")
+            out += _bad_cells("r1", r1, ~np.eye(*r1.shape, dtype=bool) & (r1 > 1.0), "outside [0, 1]")
     if horizon is not None and horizon < 1:
         out.append(f"horizon must be >= 1, got {horizon}")
     for step_key in sorted(emphases):
@@ -401,15 +400,12 @@ class SeriesTable:
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", tuple(int(t) for t in self.timestamps))
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _frozen_array(self.values, "series values", 2)
         object.__setattr__(self, "values", values)
         if self.ihdi is not None:
             ihdi = np.array(self.ihdi, dtype=float)
             ihdi.setflags(write=False)
             object.__setattr__(self, "ihdi", ihdi)
-        if values.ndim != 2:
-            raise ShapeError(f"series values must be 2-dimensional, got shape {values.shape}")
         if len(self.timestamps) != values.shape[0]:
             raise ShapeError("series needs one timestamp per row")
         if self.ihdi is not None and self.ihdi.shape != (values.shape[0],):
@@ -631,7 +627,9 @@ def _numeric(values: np.ndarray | None, ndim: int) -> bool:
 
 def _parse_trace_structured(text: str) -> SimulationTrace:
     """Each step's fields are read and type-checked here, naming the step;
-    the trace's shape and value rules are the model's, over the stacks.
+    the trace's shape, value and branch-count rules are the model's, over
+    the stacks, and a value or branch-count fault is the constructor's
+    DomainError.
 
     Every cell must be a JSON number.  numpy reads a string, ``null``, a
     nested array or an integer beyond 64 bits into a non-numeric or
@@ -673,11 +671,7 @@ def _parse_trace_structured(text: str) -> SimulationTrace:
         ws.append(w_k)
         rs.append(r_k)
     w, r, start = stack_steps(timestamps, ws, rs)
-    branches = branch_stack(counts)
-    fault = branch_fault(branches, w.shape[1])
-    if fault is not None:
-        raise ParseError(fault)
-    trace = SimulationTrace(w, r, branches, start)
+    trace = SimulationTrace(w, r, counts, start)
     size = _integral(doc.get("size"), "trace 'size'")
     if size != trace.size:
         raise ParseError(f"trace 'size' is {size}, but its steps have {trace.size} subsystems")

@@ -1,8 +1,6 @@
 """Shared fixtures: a reference example strength matrix, self-consistent
 scenarios, and random-instance builders used across tests."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -65,7 +63,7 @@ def trace_of(steps) -> SimulationTrace:
     w, r, start = stack_steps(
         [s.performance.timestamp for s in steps], [s.performance.values for s in steps], [s.influence.entries for s in steps]
     )
-    return SimulationTrace(w, r, [astuple(s.branches) for s in steps], start)
+    return SimulationTrace(w, r, [s.branches for s in steps], start)
 
 
 def random_trace(rng: np.random.Generator, steps: int = 8, n: int = 5) -> SimulationTrace:

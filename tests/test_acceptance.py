@@ -200,8 +200,7 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, capsys, example_matrix
 
 def test_criterion_8_quiescent_fixed_point(example_matrix, uniform_utility):
     with criterion(8, "quiescent fixed point over 1000 steps"):
-        scenario = self_consistent_scenario(example_matrix, uniform_utility)
-        trace = simulate(scenario, 1000)
+        trace = simulate(self_consistent_scenario(example_matrix, uniform_utility, horizon=1000))
         for w, r, branches in zip(trace.w, trace.r, trace.branches):
             assert np.array_equal(w, trace.w[0])
             assert np.array_equal(r, example_matrix.entries)

@@ -320,6 +320,11 @@ class TestInfluenceRanking:
         with pytest.raises(InputError):
             influence_ranking(varying_column_trace(rng, 0), design="row-sums")
 
+    def test_one_observation_is_too_few(self):
+        with pytest.raises(InputError) as raised:
+            ranking_from_observations(np.ones((1, 5)), 5, "column-sums")
+        assert type(raised.value) is InputError and str(raised.value) == "ranking needs at least 2 observations"
+
     def test_an_unknown_design_is_refused_at_every_entry(self, tmp_path, capsys):
         # each entry takes the design as a string; none may rank with it
         trace = varying_column_trace(np.random.default_rng(8), 0)

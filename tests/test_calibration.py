@@ -11,6 +11,7 @@ from crossimpact import (
     PerformanceVector,
     PolicyFunction,
     SequencingError,
+    ShapeError,
     TuneOptions,
     UtilityMatrix,
     solve_utility_min_norm,
@@ -74,8 +75,20 @@ class TestSolveUtility:
         grid[2] = 0.0  # all-zero row
         with pytest.raises(InfeasibleRowError) as err:
             solve_utility_min_norm(grid, PerformanceVector([0.1, 0.1, 0.3, 0.1, 0.1], 1))
-        assert err.value.row == 2
         assert "row 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            (np.ones((2, 3)), ShapeError, "calibration grid must be square, got shape (2, 3)"),
+            ([[1.0, np.nan], [0.0, 1.0]], DomainError, "calibration grid must have finite entries"),
+        ],
+        ids=["not-square", "nan"],
+    )
+    def test_unusable_grid_rejected(self, grid, error, message):
+        with pytest.raises(error) as raised:
+            solve_utility_min_norm(grid, PerformanceVector([0.1, 0.1], 1))
+        assert type(raised.value) is error and str(raised.value) == message
 
     def test_overflowing_row_named(self):
         grid = np.eye(3)
@@ -144,6 +157,12 @@ class TestVerifyMinNorm:
         utility, report = solve_utility_min_norm(grid, w)
         assert report.notes  # row 2 is the degenerate zero row
         assert verify_min_norm(utility, grid, w)
+
+    def test_sizes_must_agree(self, example_matrix):
+        with pytest.raises(ShapeError) as raised:
+            verify_min_norm(np.eye(3), example_matrix, PerformanceVector([0.5] * 5, 1))
+        assert type(raised.value) is ShapeError
+        assert str(raised.value) == "utility, influence and performance sizes must agree"
 
     @pytest.mark.parametrize("valid", [True, False])
     def test_seed_has_no_effect(self, example_matrix, valid):

@@ -70,6 +70,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", "/nonexistent.json"]) == 1
 
     @pytest.mark.parametrize(
+        "key, message",
+        [("options", "options must be an object"), ("policy", "policy must be an object mapping step -> emphasis array")],
+    )
+    def test_a_non_object_section_exits_one(self, key, message, scenario_file, capsys):
+        doc = json.loads(Path(scenario_file).read_text())
+        doc[key] = []
+        Path(scenario_file).write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", scenario_file]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "command, flag",
         [("simulate", "--scenario"), ("rank", "--trace"), ("qc", "--series"), ("tune", "--series")],
     )
@@ -113,6 +125,17 @@ class TestCalibrateCommand:
         w_path.write_text("t,S1,S2,S3,S4,S5\n0,0.5,0.38,0.42,0.34,0.5\n")
         assert main(["calibrate", "--r", str(r_path), "--w", str(w_path)]) == 2
         assert "row 4" in capsys.readouterr().err
+
+    def test_degenerate_row_noted(self, tmp_path, capsys):
+        grid = np.eye(3)
+        grid[1] = 0.0
+        r_path = tmp_path / "r.csv"
+        r_path.write_text(write_matrix(grid))
+        w_path = tmp_path / "w.csv"
+        w_path.write_text("t,S1,S2,S3\n0,0.5,0,0.25\n")
+        assert main(["calibrate", "--r", str(r_path), "--w", str(w_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.endswith("\nrow 2 degenerate: all-zero strengths with zero target\n")
 
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         r_path = tmp_path / "r.csv"

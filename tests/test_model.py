@@ -13,6 +13,7 @@ from crossimpact import (
     BranchCounts,
     DomainError,
     InfluenceMatrix,
+    InputError,
     ModelOptions,
     PerformanceVector,
     PolicyIntervention,
@@ -33,8 +34,8 @@ from crossimpact import (
 )
 import crossimpact.model
 from crossimpact.cli import main
-from crossimpact.model import _CELLS_MAX_N, _checked_update, _update_cells, _update_kernel
-from conftest import random_influence, self_consistent_scenario
+from crossimpact.model import _CELLS_MAX_N, _checked_update, _update_cells, _update_kernel, stack_steps
+from conftest import EXAMPLE_STRENGTHS, random_influence, self_consistent_scenario
 
 UNCLAMPED = ModelOptions(clamp=False)
 
@@ -73,6 +74,33 @@ class TestTypes:
             InfluenceMatrix(nonfinite)
         with pytest.raises(ShapeError):
             InfluenceMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: PerformanceVector([[0.5, 0.4]]), ShapeError,
+             "performance values must be 1-dimensional, got shape (1, 2)"),
+            (lambda: UtilityMatrix([[0.5, np.nan], [0.0, 1.0]]), DomainError, "utility entries must all be finite"),
+            (lambda: PolicyIntervention([np.nan, 0.1]), DomainError, "policy emphasis must be finite"),
+            (lambda: stack_steps([], [], []), InputError, "a trace needs at least one step"),
+            (lambda: SimulationTrace(np.full((1, 2), 0.5), np.eye(2), np.zeros((1, 4)), 2), ShapeError,
+             "trace strengths must be a (T, n, n) stack with T >= 1, got shape (2, 2)"),
+            (lambda: SimulationTrace(np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros((0, 4)), 2), ShapeError,
+             "trace strengths must be a (T, n, n) stack with T >= 1, got shape (0, 2, 2)"),
+            (
+                lambda: step(
+                    PerformanceVector([0.5] * 5, 0), PerformanceVector([0.5] * 5, 1), InfluenceMatrix(EXAMPLE_STRENGTHS, 1),
+                    UtilityMatrix(np.full((5, 5), 0.2)), PolicyIntervention([0.1, 0.0, 0.0]),
+                ),
+                ShapeError, "policy emphasis has size 3, expected 5",
+            ),
+        ],
+        ids=["vector-2d", "utility-nan", "policy-nan", "no-steps", "trace-2d", "trace-empty", "policy-length"],
+    )
+    def test_each_fault_has_its_type_and_message(self, build, error, message):
+        with pytest.raises(error) as raised:
+            build()
+        assert type(raised.value) is error and str(raised.value) == message
 
     def test_vector_rejects_nan(self):
         with pytest.raises(DomainError):
@@ -643,16 +671,15 @@ class TestStep:
 
 class TestSimulate:
     def test_horizon_one_is_one_step(self, example_matrix, uniform_utility):
-        scenario = self_consistent_scenario(example_matrix, uniform_utility)
-        trace = simulate(scenario, 1)
+        scenario = self_consistent_scenario(example_matrix, uniform_utility, horizon=1)
+        trace = simulate(scenario)
         manual = step(scenario.w0, scenario.w1, scenario.r1, uniform_utility)
         assert len(trace) == 1
         assert _vec(trace.w[0], trace.start) == manual.performance
         assert InfluenceMatrix(trace.r[0], trace.start) == manual.influence
 
     def test_quiescent_constant_trace(self, example_matrix, uniform_utility):
-        scenario = self_consistent_scenario(example_matrix, uniform_utility)
-        trace = simulate(scenario, 100)
+        trace = simulate(self_consistent_scenario(example_matrix, uniform_utility, horizon=100))
         for w, r in zip(trace.w, trace.r):
             assert np.array_equal(w, trace.w[0])
             assert np.array_equal(r, example_matrix.entries)
@@ -663,15 +690,15 @@ class TestSimulate:
         rng = np.random.default_rng(seed)
         r = random_influence(rng)
         utility = UtilityMatrix(rng.uniform(0.0, 0.2, size=(5, 5)))
-        trace = simulate(self_consistent_scenario(r, utility), 20)
+        trace = simulate(self_consistent_scenario(r, utility, horizon=20))
         for w_k, r_k in zip(trace.w, trace.r):
             assert np.array_equal(w_k, trace.w[0])
             assert np.array_equal(r_k, r.entries)
 
     def test_determinism_byte_identical(self, example_matrix, uniform_utility):
-        scenario = self_consistent_scenario(example_matrix, uniform_utility)
-        a = write_trace(simulate(scenario, 25), "structured")
-        b = write_trace(simulate(scenario, 25), "structured")
+        scenario = self_consistent_scenario(example_matrix, uniform_utility, horizon=25)
+        a = write_trace(simulate(scenario), "structured")
+        b = write_trace(simulate(scenario), "structured")
         assert a == b
 
     def test_trace_invariants(self, uniform_utility):
@@ -682,8 +709,9 @@ class TestSimulate:
             w1=_vec(rng.uniform(0, 1, 5), 1),
             r1=random_influence(rng),
             utility=uniform_utility,
+            horizon=40,
         )
-        trace = simulate(scenario, 40)
+        trace = simulate(scenario)
         timestamps = [trace.start + k for k in range(len(trace))]
         assert timestamps == list(range(2, 42))
         for w, r, branches in zip(trace.w, trace.r, trace.branches):
@@ -700,13 +728,13 @@ class TestSimulate:
             utility=uniform_utility,
         )
         with pytest.raises(ValidationError) as err:
-            simulate(scenario, 10)
+            simulate(scenario)
         assert len(err.value.violations) >= 2
 
     def test_bad_horizon(self, example_matrix, uniform_utility):
-        scenario = self_consistent_scenario(example_matrix, uniform_utility)
+        scenario = self_consistent_scenario(example_matrix, uniform_utility, horizon=0)
         with pytest.raises(ValidationError) as err:
-            simulate(scenario, 0)
+            simulate(scenario)
         assert "horizon must be >= 1, got 0" in err.value.violations
 
     def test_policy_schedule_applies_at_its_step(self, example_matrix, uniform_utility):
@@ -721,8 +749,8 @@ class TestSimulate:
             policy={3: PolicyIntervention(emphasis)},
             horizon=5,
         )
-        trace = simulate(scenario, 5)
-        quiet = simulate(base, 5)
+        trace = simulate(scenario)
+        quiet = simulate(base)
         assert np.array_equal(trace.w[0], quiet.w[0])
         assert np.array_equal(trace.w[1], quiet.w[1])
         assert np.array_equal(trace.w[2], quiet.w[2] + emphasis)

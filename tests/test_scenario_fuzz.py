@@ -236,7 +236,7 @@ def test_mutated_outputs_keep_the_error_contract(doc):
 # see that fault; here every number in turn is spelled as text or true.
 NUMBER_DOCUMENTS = {
     "scenario": (parse_scenario, "simulate", "--scenario", json.dumps(BASE)),
-    "trace": (parse_trace, "rank", "--trace", write_trace(simulate(parse_scenario(json.dumps(BASE)), 3), "structured")),
+    "trace": (parse_trace, "rank", "--trace", write_trace(simulate(parse_scenario(json.dumps({**BASE, "horizon": 3}))), "structured")),
     "ranking": (parse_ranking, None, None, OUTPUTS["ranking"][2]),
     "tune": (parse_tune_result, None, None, OUTPUTS["tune"][2]),
 }

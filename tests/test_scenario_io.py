@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,11 @@ class TestParseScenario:
             parse_scenario(write_scenario(scenario))
         assert err.value.violations == violations
 
+    def test_validate_names_a_seed_matrix_at_another_step(self, example_matrix, uniform_utility):
+        base = self_consistent_scenario(example_matrix, uniform_utility)
+        scenario = replace(base, r1=InfluenceMatrix(example_matrix.entries, 2))
+        assert scenario.validate() == ["r1 must carry timestamp 1, got 2"]
+
     def test_broken_diagonal_reported_with_other_violations(self):
         doc = minimal_doc()
         doc["r1"] = [list(row) for row in EXAMPLE_STRENGTHS]
@@ -219,6 +225,20 @@ class TestParseScenario:
             "r1[3][0] = -0.25 is negative",
             "policy step 11 outside the horizon 1..10",
         }
+
+    def test_a_negative_diagonal_cell_breaks_one_rule_everywhere(self):
+        # the matrix, the trace and the scenario read one strength-rule table
+        entries = [[-1.0, 0.5, 0.0], [0.25, 1.0, 0.75], [0.0, 0.5, 1.0]]
+        with pytest.raises(DomainError) as raised:
+            InfluenceMatrix(entries, 1)
+        assert str(raised.value) == "influence matrix diagonal must be exactly 1"
+        with pytest.raises(DomainError) as raised:
+            SimulationTrace(np.full((1, 3), 0.5), np.array([entries]), np.zeros((1, 4), dtype=np.int64), 2)
+        assert str(raised.value) == "influence matrix diagonal must be exactly 1"
+        doc = {"subsystems": ["a", "b", "c"], "w0": [0.5, 0.4, 0.3], "w1": [0.5, 0.4, 0.3], "r1": entries}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.violations == ["r1[0][0] = -1.0 but the diagonal must be exactly 1"]
 
     def test_nan_rejected(self):
         text = '{"w0": [NaN, 0.4, 0.4, 0.3, 0.5], "w1": [0.5, 0.4, 0.4, 0.3, 0.5], "r1": %s}' % (
@@ -389,8 +409,8 @@ class TestTraceRoundTrip:
         assert len(text.strip().splitlines()) == 2  # header + one data row
 
     def test_simulated_diagnostics_cover_all_cells(self, example_matrix, uniform_utility):
-        scenario = self_consistent_scenario(example_matrix, uniform_utility)
-        doc = json.loads(write_trace(simulate(scenario, 5), "structured"))
+        scenario = self_consistent_scenario(example_matrix, uniform_utility, horizon=5)
+        doc = json.loads(write_trace(simulate(scenario), "structured"))
         for step_doc in doc["steps"]:
             b = step_doc["branches"]
             assert b["one_zero"] + b["equal"] + b["ratio"] == 20
@@ -496,9 +516,9 @@ class TestTraceRoundTrip:
             f"trace steps[1]: branch counts {doc['steps'][1]['branches']} are not a step's: "
             "each lies in 0..2, degenerate <= ratio and one_zero + equal + ratio == 2"
         )
-        with pytest.raises(ParseError) as raised:
+        with pytest.raises(DomainError) as raised:
             parse_trace(text)
-        assert str(raised.value) == message
+        assert type(raised.value) is DomainError and str(raised.value) == message
         path = tmp_path / "trace.json"
         path.write_text(text)
         assert main(["rank", "--trace", str(path)]) == 1

@@ -13,7 +13,6 @@ object.
 """
 
 import json
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -98,7 +97,7 @@ class TestArrayTraceMatchesSteps:
     @given(scenario=scenarios())
     @settings(max_examples=150, deadline=None)
     def test_simulate_equals_the_stepwise_trace(self, scenario):
-        trace = outcome(simulate, scenario, scenario.horizon)
+        trace = outcome(simulate, scenario)
         steps = outcome(stepwise, scenario)
         reference = steps if isinstance(steps, tuple) else outcome(trace_of, steps)
         if isinstance(reference, tuple):
@@ -110,7 +109,7 @@ class TestArrayTraceMatchesSteps:
         assert timestamps == [s.performance.timestamp for s in steps] == [s.influence.timestamp for s in steps]
         assert trace.w.tobytes() == np.array([s.performance.values for s in steps]).tobytes()
         assert trace.r.tobytes() == np.array([s.influence.entries for s in steps]).tobytes()
-        assert trace.branches.tolist() == [list(astuple(s.branches)) for s in steps]
+        assert trace.branches.tolist() == [list(s.branches) for s in steps]
 
     def test_stacks_are_read_only(self):
         trace = random_trace(np.random.default_rng(1), steps=3)
@@ -272,7 +271,7 @@ class TestLeanStepMatchesTheSpecification:
         )
     )
     def test_simulate_equals_the_specified_run(self, scenario):
-        trace = outcome(simulate, scenario, scenario.horizon)
+        trace = outcome(simulate, scenario)
         reference = outcome(specified, scenario)
         if isinstance(reference, tuple):
             assert trace == reference
@@ -284,8 +283,8 @@ class TestLeanStepMatchesTheSpecification:
     @pytest.mark.parametrize("name", sorted(PARTWAY_FAILURES))
     def test_partway_failures_keep_their_messages(self, name):
         scenario, message = PARTWAY_FAILURES[name]
-        assert simulate(first_steps(scenario, 1), 1) == specified(first_steps(scenario, 1))
-        for run in (lambda: simulate(scenario, scenario.horizon), lambda: specified(scenario)):
+        assert simulate(first_steps(scenario, 1)) == specified(first_steps(scenario, 1))
+        for run in (lambda: simulate(scenario), lambda: specified(scenario)):
             with pytest.raises(DomainError) as raised:
                 run()
             assert str(raised.value) == message

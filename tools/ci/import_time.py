@@ -2,7 +2,10 @@
 Runs `python -X importtime -c "import crossimpact.cli"` RUNS times (default
 5) with TREE/src on the path, and prints the median self time of each
 crossimpact module, of all of them together and of numpy with its
-submodules, in milliseconds."""
+submodules, in milliseconds.  It first prints the bytecode state: the
+child interpreter's sys.dont_write_bytecode and whether
+TREE/src/crossimpact/__pycache__ exists before the first import, since an
+import without cached bytecode also compiles the package."""
 import os
 import statistics
 import subprocess
@@ -13,6 +16,12 @@ from pathlib import Path
 tree = Path(sys.argv[1]).resolve()
 runs = int(sys.argv[2]) if len(sys.argv) > 2 else 5
 env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+dont_write = subprocess.run(
+    [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+    env=env, cwd=tree, capture_output=True, text=True, check=True,
+).stdout.strip()
+cached = (tree / "src" / "crossimpact" / "__pycache__").is_dir()
+print(f"{tree}: sys.dont_write_bytecode={dont_write}, src/crossimpact/__pycache__ {'exists' if cached else 'absent'}")
 samples = defaultdict(list)
 for _ in range(runs):
     proc = subprocess.run(
